@@ -3,10 +3,14 @@
 The primal packs flow onto directed paths between distinct terminals,
 weighted by the terminal distance; the dual minimizes the capacity-weighted
 total length of a directed metric on the whole vertex set that extends the
-terminal distance.  Both are solved as exact LPs and always meet, and the
-verification routines additionally realize the dual optimum inside the
-tight span (tight extensions) or inside the tropical polytope's balanced
-section (cyclically tight extensions, Eulerian networks).
+terminal distance.  The primal is solved as an exact path LP.  The dual
+optimum is built from that LP's optimal duals, one length per edge: the
+shortest-path metric under those lengths plus the terminal distance.  Weak
+duality certifies it: the result must be a metric, agree with the terminal
+distance, and cost exactly the maximum.  The verification routines
+additionally realize the dual optimum inside the tight span (tight
+extensions) or inside the tropical polytope's balanced section (cyclically
+tight extensions, Eulerian networks).
 """
 
 from __future__ import annotations
@@ -152,12 +156,18 @@ def _require_terminal_match(net: Network, mu: DirectedDistance) -> None:
         raise DomainError("GroundSetMismatch", "network terminals must carry the distance labels")
 
 
-def max_multiflow(net: Network, mu: DirectedDistance) -> Tuple[Fraction, Multiflow]:
-    """Maximize the mu-weighted total flow over all S-path packings."""
-    _require_terminal_match(net, mu)
+def _certify(ok: bool, message: str) -> None:
+    """An internal certificate check that still runs under ``python -O``."""
+    if not ok:
+        raise DomainError("InternalCertificate", message)
+
+
+def _path_lp(net: Network, mu: DirectedDistance) -> Tuple[Fraction, Multiflow, Tuple[Fraction, ...]]:
+    """Solve the path LP once: its value, an optimal flow, and the optimal
+    duals of the capacity rows, read as edge lengths in ``net.edges`` order."""
     paths = enumerate_s_paths(net)
     if not paths:
-        return F0, Multiflow((), ())
+        return F0, Multiflow((), ()), (F0,) * len(net.edges)
     rows = []
     rhs = []
     for tail, head, c in net.edges:
@@ -168,11 +178,18 @@ def max_multiflow(net: Network, mu: DirectedDistance) -> Tuple[Fraction, Multifl
         rhs.append(Fraction(c))
     objective = tuple(mu.value(path[0], path[-1]) for path in paths)
     sol = solve(linear_program(objective, rows, ["<="] * len(rows), rhs, maximize=True))
-    assert sol.status == "optimal", "path LP is feasible (zero flow) and capacity-bounded"
+    _certify(sol.status == "optimal", "path LP is feasible (zero flow) and capacity-bounded")
     kept = [(path, lam) for path, lam in zip(paths, sol.x) if lam > 0]
     flow = Multiflow(tuple(p for p, _ in kept), tuple(l for _, l in kept))
-    assert flow.respects_capacities(net)
-    return sol.value, flow
+    _certify(flow.respects_capacities(net), "path LP flow exceeds a capacity")
+    return sol.value, flow, sol.duals
+
+
+def max_multiflow(net: Network, mu: DirectedDistance) -> Tuple[Fraction, Multiflow]:
+    """Maximize the mu-weighted total flow over all S-path packings."""
+    _require_terminal_match(net, mu)
+    value, flow, _ = _path_lp(net, mu)
+    return value, flow
 
 
 @dataclass(frozen=True)
@@ -210,51 +227,80 @@ def _as_extension(mu: DirectedDistance, d: Union[MetricExtension, DirectedDistan
     return MetricExtension(mu, d)
 
 
+def _shortest_path_extension(
+    net: Network, mu: DirectedDistance, lengths: Sequence[Fraction]
+) -> DirectedDistance:
+    """Shortest-path distances on the network vertices under the edge lengths,
+    with one extra arc s -> t of length mu(s, t) per ordered terminal pair.
+
+    Exact Floyd-Warshall; None stands for an unreachable pair until the end,
+    when every such pair gets the largest finite distance, which keeps all
+    triangle inequalities.
+    """
+    verts = net.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    dist: List[List[Optional[Fraction]]] = [
+        [F0 if i == j else None for j in range(n)] for i in range(n)
+    ]
+
+    def relax(i: int, j: int, length: Fraction) -> None:
+        if dist[i][j] is None or length < dist[i][j]:
+            dist[i][j] = length
+
+    for (tail, head, _), y in zip(net.edges, lengths):
+        relax(index[tail], index[head], y)
+    for s in mu.labels:
+        for t in mu.labels:
+            if s != t:
+                relax(index[s], index[t], mu.value(s, t))
+    for k in range(n):
+        for i in range(n):
+            if dist[i][k] is None:
+                continue
+            for j in range(n):
+                if dist[k][j] is not None:
+                    relax(i, j, dist[i][k] + dist[k][j])
+    top = max(v for row in dist for v in row if v is not None)
+    return distance_from_entries([[top if v is None else v for v in row] for row in dist], verts)
+
+
+def _certified_extension(
+    net: Network, mu: DirectedDistance, max_val: Fraction, lengths: Sequence[Fraction]
+) -> MetricExtension:
+    """The minimum side, built from the path LP's optimal edge lengths.
+
+    Dual feasibility (every S-path is at least as long as mu between its
+    ends) and mu's triangle inequality make the shortest-path distances agree
+    with mu on the terminals, and each edge is no longer than its length, so
+    the capacity objective is at most c . y = max.  Weak duality then makes
+    both sides optimal.  The checks below re-prove all of it on the result.
+    """
+    d = _shortest_path_extension(net, mu, lengths)
+    try:
+        ext = MetricExtension(mu, d)
+    except DomainError as err:
+        raise DomainError(
+            "InternalCertificate", f"path LP duals give no extension of mu: {err.message}"
+        ) from None
+    _certify(
+        network_objective(net, ext.d) == max_val,
+        "extension objective differs from the multiflow maximum",
+    )
+    return ext
+
+
 def dual_metric_lp(net: Network, mu: DirectedDistance) -> Tuple[Fraction, MetricExtension]:
-    """Minimize capacity-weighted total length over metric extensions of mu."""
+    """Minimize capacity-weighted total length over metric extensions of mu.
+
+    The minimizer is built from the optimal duals of the path LP, not by a
+    second LP, and is certified optimal by weak duality.
+    """
     _require_terminal_match(net, mu)
     if not is_metric(mu):
         raise DomainError("NotAMetric", "the dual LP ranges over extensions of a metric")
-    verts = net.vertices
-    pairs = [(x, y) for x in verts for y in verts if x != y]
-    index = {pair: k for k, pair in enumerate(pairs)}
-    nvar = len(pairs)
-
-    objective = [F0] * nvar
-    for tail, head, c in net.edges:
-        objective[index[(tail, head)]] += Fraction(c)
-
-    rows, senses, rhs = [], [], []
-    for x in verts:
-        for y in verts:
-            for z in verts:
-                if len({x, y, z}) < 3:
-                    continue
-                row = [F0] * nvar
-                row[index[(x, y)]] += 1
-                row[index[(y, z)]] += 1
-                row[index[(x, z)]] -= 1
-                rows.append(tuple(row))
-                senses.append(">=")
-                rhs.append(F0)
-    for s in mu.labels:
-        for t in mu.labels:
-            if s == t:
-                continue
-            row = [F0] * nvar
-            row[index[(s, t)]] = Fraction(1)
-            rows.append(tuple(row))
-            senses.append("==")
-            rhs.append(mu.value(s, t))
-
-    sol = solve(linear_program(objective, rows, senses, rhs, maximize=False))
-    assert sol.status == "optimal", "shortest-path extension certifies feasibility"
-    entries = [
-        [sol.x[index[(x, y)]] if x != y else F0 for y in verts]
-        for x in verts
-    ]
-    ext = MetricExtension(mu, distance_from_entries(entries, verts))
-    return sol.value, ext
+    value, _, lengths = _path_lp(net, mu)
+    return value, _certified_extension(net, mu, value, lengths)
 
 
 def network_objective(net: Network, d: DirectedDistance) -> Fraction:
@@ -297,7 +343,7 @@ def tighten_extension(mu: DirectedDistance, d) -> MetricExtension:
         if new_d.entries == ext.d.entries:
             return ext
         ext = MetricExtension(mu, new_d)
-    raise AssertionError("tightening failed to reach a fixpoint")
+    raise DomainError("InternalCertificate", "tightening failed to reach a fixpoint")
 
 
 def is_cyclically_tight_extension(mu: DirectedDistance, d) -> bool:
@@ -381,9 +427,10 @@ def verify_minmax(net: Network, mu: DirectedDistance, mode: str = "T") -> dict:
         if cycles is None:
             raise DomainError("NotEulerian", "mode Q needs capacity-balanced vertices")
 
-    max_val, flow = max_multiflow(net, mu)
-    min_val, ext = dual_metric_lp(net, mu)
-    assert max_val == min_val, "multiflow maximum must meet the extension minimum"
+    _require_terminal_match(net, mu)
+    max_val, flow, lengths = _path_lp(net, mu)
+    ext = _certified_extension(net, mu, max_val, lengths)
+    min_val = network_objective(net, ext.d)
     report = {
         "mode": mode,
         "max": max_val,
@@ -397,26 +444,29 @@ def verify_minmax(net: Network, mu: DirectedDistance, mode: str = "T") -> dict:
 
     if mode == "T":
         tight = tighten_extension(mu, ext)
-        assert is_tight_extension(mu, tight)
-        assert network_objective(net, tight.d) == min_val
+        _certify(is_tight_extension(mu, tight), "tightened extension is not tight")
+        _certify(network_objective(net, tight.d) == min_val, "tightening changed the objective")
         for s in mu.labels:
-            assert tight.point_of(s) == canonical_points(mu, s)[0]
+            _certify(tight.point_of(s) == canonical_points(mu, s)[0], "terminals must map to mu_s")
         report["tight_objective"] = network_objective(net, tight.d)
         report["tight_extension"] = tight.d
         return report
 
     total = sum((cycle_length(ext.d, cyc) for cyc in cycles), F0)
-    assert total == network_objective(net, ext.d), "cycle decomposition must cover the objective"
+    _certify(total == network_objective(net, ext.d), "cycle decomposition must cover the objective")
     rho = {}
     for x in ext.d.labels:
         p = retract_to_tight_span(mu, ext.point_of(x))
         p = retract_to_qplus(mu, p)
         rho[x] = retract_to_section(mu, p)
-    assert all(canonical_section_membership(mu, p) for p in rho.values())
+    _certify(
+        all(canonical_section_membership(mu, p) for p in rho.values()),
+        "retraction left the canonical section",
+    )
     ok, _ = is_balanced(list(rho.values()))
-    assert ok, "a section-valued family must be balanced"
+    _certify(ok, "a section-valued family must be balanced")
     for s in mu.labels:
-        assert Fiber(rho[s]) == Fiber(canonical_points(mu, s)[0]), "terminal fibers must anchor at mu_s"
+        _certify(Fiber(rho[s]) == Fiber(canonical_points(mu, s)[0]), "terminal fibers must anchor at mu_s")
     report["cycles"] = cycles
     report["cycle_total"] = total
     report["balanced"] = True

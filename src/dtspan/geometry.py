@@ -530,7 +530,7 @@ def geodesic_polyline(mu: DirectedDistance, p: ExtPoint, q: ExtPoint, k: int) ->
     exactly, for every k >= 1.
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise DomainError("UsageError", "k must be at least 1")
     for x in (p, q):
         if not in_tight_span(mu, x):
             raise DomainError("NotInTightSpan", "geodesics run between tight span points")

@@ -252,17 +252,3 @@ def solve(lp: LinearProgram) -> LPSolution:
     assert certificate_ok(lp, sol), "simplex returned an uncertified optimum"
     return sol
 
-
-def format_lp(lp: LinearProgram) -> str:
-    """Fixed human-readable dump, for debugging."""
-    def term(c: Fraction, j: int) -> str:
-        return f"{c}*x{j}"
-
-    lines = [("maximize  " if lp.maximize else "minimize  ")
-             + " + ".join(term(c, j) for j, c in enumerate(lp.objective) if c != 0)]
-    lines.append("subject to")
-    for row, sense, b in zip(lp.rows, lp.senses, lp.rhs):
-        body = " + ".join(term(a, j) for j, a in enumerate(row) if a != 0) or "0"
-        lines.append(f"  {body} {sense} {b}")
-    lines.append("  x >= 0")
-    return "\n".join(lines)

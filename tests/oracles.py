@@ -2,8 +2,9 @@
 
 Everything here trades time for obviousness: vertices come from solving
 every square constraint subsystem, affine rank from plain Gaussian
-elimination.  None of it touches the double-description or matching code,
-so agreement between the two routes is meaningful evidence.
+elimination, the metric-extension minimum from the full triangle LP.  None
+of it touches the double-description, matching or dual-length code, so
+agreement between the two routes is meaningful evidence.
 """
 
 from fractions import Fraction
@@ -13,9 +14,13 @@ from typing import List, Optional, Sequence, Tuple
 from dtspan import (
     DirectedDistance,
     ExtPoint,
+    MetricExtension,
+    distance_from_entries,
+    linear_program,
     point,
     retract_to_qplus,
     retract_to_tight_span,
+    solve,
     validate_distance,
 )
 
@@ -201,3 +206,56 @@ def random_eulerian_network(rng, nv: int, nterm: int, ncycles: int = 3):
         for i in range(k):
             edges.append((cyc[i], cyc[(i + 1) % k], mult))
     return network(verts, edges, rng.sample(verts, nterm))
+
+
+# -- the metric-extension minimum as its own LP -----------------------------------
+
+
+def triangle_metric_lp(net, mu: DirectedDistance) -> Tuple[Fraction, MetricExtension]:
+    """Minimize capacity-weighted length over metric extensions of mu directly.
+
+    One variable per ordered vertex pair, one row per ordered triangle, and
+    equality rows pinning the terminal pairs to mu.  It shares only the
+    simplex with the library, which builds the minimum from the path LP's
+    duals instead.
+    """
+    verts = net.vertices
+    pairs = [(x, y) for x in verts for y in verts if x != y]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    nvar = len(pairs)
+
+    objective = [F0] * nvar
+    for tail, head, c in net.edges:
+        objective[index[(tail, head)]] += Fraction(c)
+
+    rows, senses, rhs = [], [], []
+    for x in verts:
+        for y in verts:
+            for z in verts:
+                if len({x, y, z}) < 3:
+                    continue
+                row = [F0] * nvar
+                row[index[(x, y)]] += 1
+                row[index[(y, z)]] += 1
+                row[index[(x, z)]] -= 1
+                rows.append(tuple(row))
+                senses.append(">=")
+                rhs.append(F0)
+    for s in mu.labels:
+        for t in mu.labels:
+            if s == t:
+                continue
+            row = [F0] * nvar
+            row[index[(s, t)]] = Fraction(1)
+            rows.append(tuple(row))
+            senses.append("==")
+            rhs.append(mu.value(s, t))
+
+    sol = solve(linear_program(objective, rows, senses, rhs, maximize=False))
+    assert sol.status == "optimal", "shortest-path extension certifies feasibility"
+    entries = [
+        [sol.x[index[(x, y)]] if x != y else F0 for y in verts]
+        for x in verts
+    ]
+    ext = MetricExtension(mu, distance_from_entries(entries, verts))
+    return sol.value, ext

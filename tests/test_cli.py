@@ -174,6 +174,8 @@ def test_geodesic(files, capsys):
     assert code == 0
     assert len(out["points"]) == 5
     assert out["total_length"] == out["dinf"] == "1"
+    code, out = run(capsys, ["geodesic", mpath, p, q, "--k", "0"])
+    assert code == 2 and out["error"]["code"] == "UsageError"
 
 
 def test_flow_commands(files, capsys):

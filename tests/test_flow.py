@@ -1,11 +1,16 @@
-"""Multiflow/extension duality: network plumbing, the two LP sides, tightness
-notions, Eulerian cycle decompositions, and the end-to-end verifier."""
+"""Multiflow/extension duality: network plumbing, both sides of the min-max,
+the triangle-LP cross-check, tightness notions, Eulerian cycle
+decompositions, and the end-to-end verifier."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dtspan
 from dtspan import (
     DomainError,
     MetricExtension,
@@ -31,6 +36,7 @@ from oracles import (
     random_metric,
     random_network,
     random_t_point,
+    triangle_metric_lp,
 )
 
 F0 = Fraction(0)
@@ -140,6 +146,64 @@ def test_minmax_equality_random():
         assert max_val == min_val
         # weak duality pieces: every path earns at most its length in ext.d
         assert network_objective(net, ext.d) == min_val
+
+
+def test_dual_lengths_match_triangle_lp():
+    # the extension built from the path LP's duals against the direct LP
+    rng = random.Random(73)
+    for _ in range(12):
+        nv = rng.randint(3, 4)
+        nterm = rng.randint(2, 3)
+        net = random_network(rng, nv, nterm)
+        mu = _metric_on(rng, net.terminals, zeros=0.2)
+        oracle_val, _ = triangle_metric_lp(net, mu)
+        min_val, ext = dual_metric_lp(net, mu)
+        max_val, _ = max_multiflow(net, mu)
+        assert oracle_val == min_val == max_val
+        assert isinstance(ext, MetricExtension)
+        assert network_objective(net, ext.d) == min_val
+
+
+# Scale every dual the path LP returns.  Halved lengths fall short of mu on
+# the one S-path, so the result is no extension; doubled lengths give an
+# extension that costs twice the maximum.  Both must fail the certificate,
+# also under -O, where an assert would be gone.
+SCALED_DUALS = """
+import dataclasses, sys
+from fractions import Fraction
+from dtspan import DomainError, distance_from_entries, dual_metric_lp, flow, network, verify_minmax
+
+real_solve = flow.solve
+net = network(("s", "x", "t"), (("s", "x", 1), ("x", "t", 1)), ("s", "t"))
+mu = distance_from_entries([[0, 1], [1, 0]], ("s", "t"))
+codes = []
+for scale in (Fraction(1, 2), Fraction(2)):
+
+    def scaled(lp):
+        sol = real_solve(lp)
+        return dataclasses.replace(sol, duals=tuple(scale * y for y in sol.duals))
+
+    flow.solve = scaled
+    for fn in (dual_metric_lp, verify_minmax):
+        try:
+            fn(net, mu)
+            codes.append("passed")
+        except DomainError as err:
+            codes.append(err.code)
+print(sys.flags.optimize, *codes)
+"""
+
+
+def test_bad_duals_fail_certificate_under_optimize():
+    src = str(Path(dtspan.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", SCALED_DUALS],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        check=True,
+    )
+    assert out.stdout.split() == ["1"] + ["InternalCertificate"] * 4
 
 
 def test_tighten_extension():

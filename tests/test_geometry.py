@@ -422,8 +422,9 @@ def test_geodesic_polyline_exact():
 def test_geodesic_polyline_validation():
     mu = distance_from_entries(ALL_ONE)
     p = point(mu, (0, 1, 1), (0, 1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError) as err:
         geodesic_polyline(mu, p, p, 0)
+    assert err.value.code == "UsageError"
     with pytest.raises(DomainError) as err:
         geodesic_polyline(mu, p, point(mu, (9, 9, 9), (9, 9, 9)), 2)
     assert err.value.code == "NotInTightSpan"
