@@ -57,7 +57,6 @@ from .complexes import (
 )
 from .rank import (
     MatchingInstance,
-    brute_force_unique,
     dim_tight_span,
     dim_tight_span_witness,
     is_unique_optimum,

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import jsonio
 from .complexes import enumerate_qplus, enumerate_section, enumerate_tight_span, skeleton_graph
@@ -207,7 +208,9 @@ def _cmd_decompose(args) -> dict:
     }
 
 
+@lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="dtspan",
         description="Directed tight spans, tropical polytopes, and oriented-tree realizations.",

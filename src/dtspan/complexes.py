@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, certify
 from .geometry import EqualityGraph, ExtPoint, Membership, _tight_edges, classify_membership
 from .metrics import DirectedDistance
 
@@ -48,7 +48,7 @@ def _normalize_ray(r: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
     for x in r:
         if x != 0:
             return tuple(y / x for y in r)
-    raise AssertionError("zero ray")
+    raise DomainError("InternalCertificate", "zero ray")
 
 
 def _extreme_rays(dim: int, rows: List[Tuple[Fraction, ...]]) -> List[Tuple[Fraction, ...]]:
@@ -322,8 +322,7 @@ def skeleton_graph(complex_: PolyComplex) -> SkeletonGraph:
     for f in complex_.faces:
         if f.dim != 1:
             continue
-        if len(f.vertex_ids) != 2:
-            raise AssertionError("1-face with vertex count != 2")
+        certify(len(f.vertex_ids) == 2, "1-face with vertex count != 2")
         i, j = f.vertex_ids
         fwd = dinf(complex_.vertices[i], complex_.vertices[j])
         bwd = dinf(complex_.vertices[j], complex_.vertices[i])
@@ -332,6 +331,6 @@ def skeleton_graph(complex_: PolyComplex) -> SkeletonGraph:
         elif bwd > 0 and fwd == 0:
             arcs.append((j, i, bwd))
         else:
-            raise AssertionError(f"1-face with distances {fwd}, {bwd}; expected one zero")
+            raise DomainError("InternalCertificate", f"1-face with distances {fwd}, {bwd}; expected one zero")
     arcs.sort()
     return SkeletonGraph(complex_.vertices, tuple(arcs))

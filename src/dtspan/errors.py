@@ -16,3 +16,13 @@ class DomainError(Exception):
 
     def to_json(self) -> dict:
         return {"error": {"code": self.code, "message": self.message}}
+
+
+def certify(ok: bool, message: str) -> None:
+    """An internal certificate check that still runs under ``python -O``.
+
+    A failure means the program, not its input, is at fault; it surfaces as
+    ``DomainError("InternalCertificate")`` so the CLI reports it as JSON.
+    """
+    if not ok:
+        raise DomainError("InternalCertificate", message)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import DomainError
+from .errors import DomainError, certify
 from .geometry import (
     ExtPoint,
     Fiber,
@@ -156,12 +156,6 @@ def _require_terminal_match(net: Network, mu: DirectedDistance) -> None:
         raise DomainError("GroundSetMismatch", "network terminals must carry the distance labels")
 
 
-def _certify(ok: bool, message: str) -> None:
-    """An internal certificate check that still runs under ``python -O``."""
-    if not ok:
-        raise DomainError("InternalCertificate", message)
-
-
 def _path_lp(net: Network, mu: DirectedDistance) -> Tuple[Fraction, Multiflow, Tuple[Fraction, ...]]:
     """Solve the path LP once: its value, an optimal flow, and the optimal
     duals of the capacity rows, read as edge lengths in ``net.edges`` order."""
@@ -178,10 +172,10 @@ def _path_lp(net: Network, mu: DirectedDistance) -> Tuple[Fraction, Multiflow, T
         rhs.append(Fraction(c))
     objective = tuple(mu.value(path[0], path[-1]) for path in paths)
     sol = solve(linear_program(objective, rows, ["<="] * len(rows), rhs, maximize=True))
-    _certify(sol.status == "optimal", "path LP is feasible (zero flow) and capacity-bounded")
+    certify(sol.status == "optimal", "path LP is feasible (zero flow) and capacity-bounded")
     kept = [(path, lam) for path, lam in zip(paths, sol.x) if lam > 0]
     flow = Multiflow(tuple(p for p, _ in kept), tuple(l for _, l in kept))
-    _certify(flow.respects_capacities(net), "path LP flow exceeds a capacity")
+    certify(flow.respects_capacities(net), "path LP flow exceeds a capacity")
     return sol.value, flow, sol.duals
 
 
@@ -283,7 +277,7 @@ def _certified_extension(
         raise DomainError(
             "InternalCertificate", f"path LP duals give no extension of mu: {err.message}"
         ) from None
-    _certify(
+    certify(
         network_objective(net, ext.d) == max_val,
         "extension objective differs from the multiflow maximum",
     )
@@ -444,29 +438,29 @@ def verify_minmax(net: Network, mu: DirectedDistance, mode: str = "T") -> dict:
 
     if mode == "T":
         tight = tighten_extension(mu, ext)
-        _certify(is_tight_extension(mu, tight), "tightened extension is not tight")
-        _certify(network_objective(net, tight.d) == min_val, "tightening changed the objective")
+        certify(is_tight_extension(mu, tight), "tightened extension is not tight")
+        certify(network_objective(net, tight.d) == min_val, "tightening changed the objective")
         for s in mu.labels:
-            _certify(tight.point_of(s) == canonical_points(mu, s)[0], "terminals must map to mu_s")
+            certify(tight.point_of(s) == canonical_points(mu, s)[0], "terminals must map to mu_s")
         report["tight_objective"] = network_objective(net, tight.d)
         report["tight_extension"] = tight.d
         return report
 
     total = sum((cycle_length(ext.d, cyc) for cyc in cycles), F0)
-    _certify(total == network_objective(net, ext.d), "cycle decomposition must cover the objective")
+    certify(total == network_objective(net, ext.d), "cycle decomposition must cover the objective")
     rho = {}
     for x in ext.d.labels:
         p = retract_to_tight_span(mu, ext.point_of(x))
         p = retract_to_qplus(mu, p)
         rho[x] = retract_to_section(mu, p)
-    _certify(
+    certify(
         all(canonical_section_membership(mu, p) for p in rho.values()),
         "retraction left the canonical section",
     )
     ok, _ = is_balanced(list(rho.values()))
-    _certify(ok, "a section-valued family must be balanced")
+    certify(ok, "a section-valued family must be balanced")
     for s in mu.labels:
-        _certify(Fiber(rho[s]) == Fiber(canonical_points(mu, s)[0]), "terminal fibers must anchor at mu_s")
+        certify(Fiber(rho[s]) == Fiber(canonical_points(mu, s)[0]), "terminal fibers must anchor at mu_s")
     report["cycles"] = cycles
     report["cycle_total"] = total
     report["balanced"] = True

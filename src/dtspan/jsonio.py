@@ -1,8 +1,9 @@
 """JSON and DOT serialization with canonical rational strings.
 
 Every rational is written as str(Fraction): an integer string or "p/q" in
-lowest terms with positive denominator.  Floats are rejected on input, so
-a round trip through JSON never loses exactness.
+lowest terms with positive denominator.  On input every rational goes through
+``metrics.as_fraction``, which rejects floats and bools, so a round trip
+through JSON never loses exactness.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .complexes import PolyComplex, SkeletonGraph
 from .errors import DomainError
 from .flow import Network, network
 from .geometry import ExtPoint
-from .metrics import DirectedDistance, validate_distance
+from .metrics import DirectedDistance, as_fraction, validate_distance
 from .trees import OrientedTree, Realization, SplitTerm
 
 # -- rationals -----------------------------------------------------------------
@@ -23,19 +24,6 @@ from .trees import OrientedTree, Realization, SplitTerm
 
 def fraction_to_str(x: Fraction) -> str:
     return str(x)
-
-
-def str_to_fraction(value) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise DomainError("InputParseError", f"exact rational required, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise DomainError("InputParseError", f"not a rational: {value!r}")
-    raise DomainError("InputParseError", f"not a rational: {value!r}")
 
 
 def _expect(obj, key, kind, where):
@@ -66,7 +54,7 @@ def distance_from_json(obj) -> DirectedDistance:
     for row in matrix:
         if not isinstance(row, list):
             raise DomainError("InputParseError", "distance: matrix rows must be lists")
-        rows.append([str_to_fraction(v) for v in row])
+        rows.append([as_fraction(v) for v in row])
     return validate_distance(rows, labels)
 
 
@@ -90,8 +78,8 @@ def point_from_json(mu: DirectedDistance, obj) -> ExtPoint:
             raise DomainError("InputParseError", f"point: {name} must assign every label exactly once")
     return ExtPoint(
         mu.ground,
-        tuple(str_to_fraction(col[s]) for s in labels),
-        tuple(str_to_fraction(row[s]) for s in labels),
+        tuple(as_fraction(col[s]) for s in labels),
+        tuple(as_fraction(row[s]) for s in labels),
     )
 
 
@@ -144,7 +132,7 @@ def realization_from_json(obj) -> Realization:
     for e in edges:
         tail = _expect(e, "tail", str, "realization edge")
         head = _expect(e, "head", str, "realization edge")
-        length = str_to_fraction(_expect(e, "length", None, "realization edge"))
+        length = as_fraction(_expect(e, "length", None, "realization edge"))
         arcs.append((tail, head, length))
     tree = OrientedTree(tuple(vertices), tuple(arcs))
     if set(subtrees) != set(terminals):

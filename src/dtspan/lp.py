@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Set, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, certify
 from .metrics import as_fraction
 
 F0 = Fraction(0)
@@ -208,7 +208,7 @@ def solve(lp: LinearProgram) -> LPSolution:
         for c in art_cols:
             cost1[c] = -F1
         status1 = run(cost1)
-        assert status1 == OPTIMAL, "phase 1 is bounded by construction"
+        certify(status1 == OPTIMAL, "phase 1 is bounded by construction")
         if sum(cost1[basis[i]] * tab[i][-1] for i in range(len(tab))) != 0:
             return LPSolution(INFEASIBLE)
         for i in sorted(range(len(tab)), reverse=True):
@@ -249,6 +249,6 @@ def solve(lp: LinearProgram) -> LPSolution:
         value_int if lp.maximize else -value_int,
         final_duals,
     )
-    assert certificate_ok(lp, sol), "simplex returned an uncertified optimum"
+    certify(certificate_ok(lp, sol), "simplex returned an uncertified optimum")
     return sol
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
@@ -98,9 +98,14 @@ class DirectedDistance:
 
 
 def as_fraction(x) -> Fraction:
-    """Exact conversion; rejects floats so no rounding can sneak in."""
-    if isinstance(x, float):
-        raise DomainError("InputParseError", f"float {x!r} rejected; use int or 'p/q' string")
+    """The one rational parser: an int, a Fraction or a "p/q" string.
+
+    Floats are rejected so no rounding can sneak in, and bools are rejected
+    so that ``True`` never reads as 1.  Everything else raises
+    ``InputParseError`` too.
+    """
+    if isinstance(x, (bool, float)):
+        raise DomainError("InputParseError", f"exact rational required, got {x!r}")
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -109,8 +114,8 @@ def as_fraction(x) -> Fraction:
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
-            raise DomainError("InputParseError", f"cannot parse rational {x!r}") from None
-    raise DomainError("InputParseError", f"cannot convert {type(x).__name__} to rational")
+            raise DomainError("InputParseError", f"not a rational: {x!r}") from None
+    raise DomainError("InputParseError", f"not a rational: {x!r}")
 
 
 def validate_distance(matrix: Sequence[Sequence], labels: Optional[Sequence[str]] = None) -> DirectedDistance:
@@ -206,19 +211,33 @@ def check_tree_condition(mu: DirectedDistance) -> Tuple[bool, Optional[Tuple[int
 
     For every (x,y,z,u,v,w), with repeats allowed, the diagonal sum
     mu(x,u) + mu(y,v) + mu(z,w) must not exceed the best of the other five
-    ways to match {x,y,z} with {u,v,w}.  Brute force over n**6 tuples.
+    ways to match {x,y,z} with {u,v,w}.  Equivalently, every 3 x 3 minor
+    has its best matching attained at least twice.
+
+    The test runs over the minors, pairs of 3-subsets (R, C), computing the
+    six matching sums of each once.  A tuple with a repeated row or column
+    ties with a transposition and never violates; a violating tuple stays
+    violating when its rows are sorted and its columns carried along.  So
+    the smallest violator of a minor whose best matching sigma is strict is
+    sorted R followed by sigma's columns, and the lexicographically smallest
+    violator overall lies in the first R, in ``combinations`` order, that
+    has any.
     """
     e = mu.entries
-    for x, y, z, u, v, w in product(range(mu.n), repeat=6):
-        rows = (x, y, z)
-        cols = (u, v, w)
-        lhs = e[x][u] + e[y][v] + e[z][w]
-        best = max(
-            e[rows[0]][cols[p[0]]] + e[rows[1]][cols[p[1]]] + e[rows[2]][cols[p[2]]]
-            for p in _PERM3[1:]
-        )
-        if lhs > best:
-            return False, (x, y, z, u, v, w)
+    triples = list(combinations(range(mu.n), 3))
+    for rows in triples:
+        r0, r1, r2 = (e[r] for r in rows)
+        witness = None
+        for c in triples:
+            sums = [r0[c[p[0]]] + r1[c[p[1]]] + r2[c[p[2]]] for p in _PERM3]
+            best = max(sums)
+            if sums.count(best) == 1:
+                p = _PERM3[sums.index(best)]
+                cols = (c[p[0]], c[p[1]], c[p[2]])
+                if witness is None or cols < witness:
+                    witness = cols
+        if witness is not None:
+            return False, rows + witness
     return True, None
 
 

@@ -16,13 +16,22 @@ matchings, i.e. zero-weight edges in the optimum.
 Optima come from an exact rational Hungarian algorithm; uniqueness is
 certified by searching the optimal dual's equality subgraph for an
 alternating cycle.
+
+Both uniqueness notions are closed downward.  If a (k+1) x (k+1) minor has
+a unique optimum M of either kind, deleting one edge e of M with its row and
+column leaves a k x k minor whose unique optimum of the same kind is M - e:
+a rival N there would make N + e a rival of M.  So the sizes with a unique
+minor form an interval 1..K, and the search runs bottom-up: sizes k = 1, 2,
+... in turn, each scanned in lexicographic order of (rows, cols) until its
+first hit, stopping at the first size with none.  The witness is the first
+hit at size K, the same minor a top-down scan would return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError
@@ -197,16 +206,29 @@ def is_unique_optimum(instance: MatchingInstance, mode: str = "MT") -> bool:
     return True
 
 
+def _first_unique_minor(mu: DirectedDistance, k: int, mode: str) -> Optional[MatchingInstance]:
+    """The first k x k minor, in lexicographic (rows, cols) order, with a unique optimum."""
+    subsets = list(combinations(range(mu.n), k))
+    for a in subsets:
+        for b in subsets:
+            inst = MatchingInstance.from_distance(mu, a, b)
+            if is_unique_optimum(inst, mode):
+                return inst
+    return None
+
+
 def _search_unique(mu: DirectedDistance, mode: str):
-    n = mu.n
-    for k in range(n, 0, -1):
-        for a in combinations(range(n), k):
-            for b in combinations(range(n), k):
-                inst = MatchingInstance.from_distance(mu, a, b)
-                if is_unique_optimum(inst, mode):
-                    _, pairs = max_matching(inst, mode="PMT")
-                    return k, (a, b, tuple(pairs))
-    return 0, None
+    """Largest k with a unique k x k minor, bottom-up (see the module docstring)."""
+    found = None
+    for k in range(1, mu.n + 1):
+        inst = _first_unique_minor(mu, k, mode)
+        if inst is None:
+            break
+        found = inst
+    if found is None:
+        return 0, None
+    _, pairs = max_matching(found, mode="PMT")
+    return found.k, (found.rows, found.cols, tuple(pairs))
 
 
 def dim_tight_span_witness(mu: DirectedDistance):
@@ -226,28 +248,3 @@ def tropical_rank_witness(mu: DirectedDistance):
 
 def tropical_rank(mu: DirectedDistance) -> int:
     return tropical_rank_witness(mu)[0]
-
-
-def brute_force_unique(instance: MatchingInstance, mode: str = "MT") -> bool:
-    """Oracle: enumerate every matching.  Exponential; keep k small."""
-    k = instance.k
-    w = instance.weights
-    arrangements = []
-    if mode == "MT":
-        arrangements.append(((), ()))  # empty matching
-        for size in range(1, k + 1):
-            for rows in combinations(range(k), size):
-                for cols in permutations(range(k), size):
-                    arrangements.append((rows, cols))
-    else:
-        for cols in permutations(range(k)):
-            arrangements.append((tuple(range(k)), cols))
-    best = None
-    count = 0
-    for rows, cols in arrangements:
-        val = sum(w[i][j] for i, j in zip(rows, cols))
-        if best is None or val > best:
-            best, count = val, 1
-        elif val == best:
-            count += 1
-    return count == 1

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .complexes import PolyComplex, enumerate_section, enumerate_tight_span, skeleton_graph
-from .errors import DomainError
+from .errors import DomainError, certify
 from .metrics import (
     DirectedDistance,
     check_directed_tree_metric,
@@ -217,7 +217,7 @@ def _realization_from_complex(mu: DirectedDistance, comp: PolyComplex) -> Realiz
             for i, p in enumerate(skel.vertices)
             if p.col[s] == 0 and p.row[s] == 0
         )
-        assert member, f"no skeleton vertex carries terminal {mu.labels[s]}"
+        certify(bool(member), f"no skeleton vertex carries terminal {mu.labels[s]}")
         subtrees.append(member)
     return Realization(tree, mu.labels, tuple(subtrees))
 
@@ -227,7 +227,7 @@ def realize_path(mu: DirectedDistance) -> Realization:
     if dim_tight_span(mu) > 1:
         raise DomainError("DimensionTooHigh", "tight span dimension exceeds 1")
     r = _realization_from_complex(mu, enumerate_tight_span(mu))
-    assert is_directed_path(r.tree), "skeleton of a 1-dimensional tight span must be a directed path"
+    certify(is_directed_path(r.tree), "skeleton of a 1-dimensional tight span must be a directed path")
     return r
 
 
@@ -237,7 +237,7 @@ def realize_tree(mu: DirectedDistance) -> Realization:
         raise DomainError("RankTooHigh", "tropical rank exceeds 2")
     r = _realization_from_complex(mu, enumerate_section(mu))
     for sub in r.subtrees:
-        assert _induced_directed_path(r.tree, sub), "terminal subtree must be a directed path"
+        certify(_induced_directed_path(r.tree, sub), "terminal subtree must be a directed path")
     return r
 
 
@@ -246,13 +246,13 @@ def realize_directed_tree_metric(mu: DirectedDistance) -> Realization:
 
     For a directed tree metric every terminal's locus in the complex is a
     single point, so the section-skeleton construction lands on singleton
-    subtrees on its own; that collapse is asserted rather than arranged.
+    subtrees on its own; that collapse is certified rather than arranged.
     """
     if not check_directed_tree_metric(mu):
         raise DomainError("NotDirectedTreeMetric", "directed tree metric conditions fail")
     r = _realization_from_complex(mu, enumerate_section(mu))
     for s, sub in zip(r.terminals, r.subtrees):
-        assert len(sub) == 1, f"terminal {s!r} should occupy a single vertex"
+        certify(len(sub) == 1, f"terminal {s!r} should occupy a single vertex")
     return r
 
 

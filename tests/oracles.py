@@ -2,27 +2,38 @@
 
 Everything here trades time for obviousness: vertices come from solving
 every square constraint subsystem, affine rank from plain Gaussian
-elimination, the metric-extension minimum from the full triangle LP.  None
-of it touches the double-description, matching or dual-length code, so
-agreement between the two routes is meaningful evidence.
+elimination, the metric-extension minimum from the full triangle LP,
+matching uniqueness from listing every matching, and the sextuple condition
+from all n**6 index tuples.  None of it touches the double-description,
+matching or dual-length code, so agreement between the two routes is
+meaningful evidence.  The one exception is ``search_unique_top_down``: it
+reuses the library's uniqueness test on purpose, so that comparing it with
+the bottom-up search checks the search order alone.
 """
 
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 from typing import List, Optional, Sequence, Tuple
 
 from dtspan import (
     DirectedDistance,
     ExtPoint,
+    MatchingInstance,
     MetricExtension,
     distance_from_entries,
+    evaluate_realization,
+    is_unique_optimum,
     linear_program,
+    max_matching,
     point,
+    random_realization,
     retract_to_qplus,
     retract_to_tight_span,
     solve,
     validate_distance,
 )
+from dtspan.trees import KINDS
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -117,20 +128,102 @@ def vertex_oracle(mu: DirectedDistance) -> List[ExtPoint]:
     return pts
 
 
+# -- matchings and the tree condition --------------------------------------------
+
+_PERM3 = tuple(permutations(range(3)))
+
+
+def brute_force_unique(instance: MatchingInstance, mode: str = "MT") -> bool:
+    """Enumerate every matching.  Exponential; keep k small."""
+    k = instance.k
+    w = instance.weights
+    arrangements = []
+    if mode == "MT":
+        arrangements.append(((), ()))  # empty matching
+        for size in range(1, k + 1):
+            for rows in combinations(range(k), size):
+                for cols in permutations(range(k), size):
+                    arrangements.append((rows, cols))
+    else:
+        for cols in permutations(range(k)):
+            arrangements.append((tuple(range(k)), cols))
+    best = None
+    count = 0
+    for rows, cols in arrangements:
+        val = sum(w[i][j] for i, j in zip(rows, cols))
+        if best is None or val > best:
+            best, count = val, 1
+        elif val == best:
+            count += 1
+    return count == 1
+
+
+def search_unique_top_down(mu: DirectedDistance, mode: str):
+    """Largest k with a unique k x k minor, scanning k = n, n-1, ... down."""
+    n = mu.n
+    for k in range(n, 0, -1):
+        for a in combinations(range(n), k):
+            for b in combinations(range(n), k):
+                inst = MatchingInstance.from_distance(mu, a, b)
+                if is_unique_optimum(inst, mode):
+                    _, pairs = max_matching(inst, mode="PMT")
+                    return k, (a, b, tuple(pairs))
+    return 0, None
+
+
+def sextuple_scan(mu: DirectedDistance) -> Tuple[bool, Optional[Tuple[int, ...]]]:
+    """The tree condition over all n**6 tuples, repeats included, in lex order."""
+    e = mu.entries
+    for x, y, z, u, v, w in product(range(mu.n), repeat=6):
+        rows = (x, y, z)
+        cols = (u, v, w)
+        lhs = e[x][u] + e[y][v] + e[z][w]
+        best = max(
+            e[rows[0]][cols[p[0]]] + e[rows[1]][cols[p[1]]] + e[rows[2]][cols[p[2]]]
+            for p in _PERM3[1:]
+        )
+        if lhs > best:
+            return False, (x, y, z, u, v, w)
+    return True, None
+
+
 # -- random generators -----------------------------------------------------------
 
 
-def random_distance(rng, n: int, top: int = 6, zeros: float = 0.15) -> DirectedDistance:
+def random_distance(rng, n: int, top: int = 6, zeros: float = 0.15, den: int = 3) -> DirectedDistance:
+    """Entries p/q with p in 1..top and q in 1..den; den=1 gives integers."""
     entries = [
         [
             F0
             if i == j or rng.random() < zeros
-            else Fraction(rng.randint(1, top), rng.randint(1, 3))
+            else Fraction(rng.randint(1, top), rng.randint(1, den))
             for j in range(n)
         ]
         for i in range(n)
     ]
     return validate_distance(entries)
+
+
+def scan_cases(seed: int, count: int = 200):
+    """Seeded distances on n = 1..5 for pinning a scan against its oracle.
+
+    Four kinds in turn: integer entries in 0..3 (many ties), integer entries
+    in 0..6, rational entries, and distances of random oriented-tree
+    realizations (tropical rank at most two, so the tree condition holds).
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(1, 5)
+        kind = i % 4
+        if kind == 0:
+            yield random_distance(rng, n, top=3, zeros=0.3, den=1)
+        elif kind == 1:
+            yield random_distance(rng, n, den=1)
+        elif kind == 2:
+            yield random_distance(rng, n)
+        else:
+            shape = rng.choice(KINDS)
+            yield evaluate_realization(random_realization(shape, n, rng.randrange(10**6)))
 
 
 def random_metric(rng, n: int, top: int = 6, zeros: float = 0.0) -> DirectedDistance:

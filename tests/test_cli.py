@@ -2,10 +2,14 @@
 file-writing options.  Everything goes through main(argv) on temp files."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dtspan.cli import main
+import dtspan
+from dtspan.cli import _parser, main
 
 ALL_ONE = {
     "labels": ["x0", "x1", "x2"],
@@ -240,3 +244,41 @@ def test_missing_file_is_parse_error(capsys):
     code, out = run(capsys, ["validate", "/nonexistent/m.json"])
     assert code == 1
     assert out["error"]["code"] == "InputParseError"
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    assert _parser() is _parser()
+    first = _parser().parse_args(["skeleton", "m.json", "--of", "tightspan", "--dot", "g.dot"])
+    assert (first.of, first.dot) == ("tightspan", "g.dot")
+    second = _parser().parse_args(["skeleton", "m.json"])
+    assert (second.of, second.dot) == ("section", None)
+
+
+UNCERTIFIED_LP = """
+import sys
+import dtspan.lp
+from dtspan.cli import main
+
+dtspan.lp.certificate_ok = lambda lp, sol: False
+rc = main(["flow", "max", sys.argv[1], sys.argv[2]])
+print(sys.flags.optimize, rc)
+"""
+
+
+def test_uncertified_lp_is_json_error_under_optimize(files):
+    # the simplex's own certificate check is a raise, not an assert
+    _, write = files
+    npath = write("net.json", TRIANGLE_NET)
+    mpath = write("mu.json", ONE_WAY)
+    src = str(Path(dtspan.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", UNCERTIFIED_LP, npath, mpath],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        check=True,
+    )
+    assert out.stderr == ""
+    *error, status = out.stdout.strip().splitlines()
+    assert json.loads("\n".join(error))["error"]["code"] == "InternalCertificate"
+    assert status.split() == ["1", "1"]

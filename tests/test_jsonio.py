@@ -32,8 +32,8 @@ from dtspan.jsonio import (
     skeleton_to_dot,
     skeleton_to_json,
     splits_to_json,
-    str_to_fraction,
 )
+from dtspan.metrics import as_fraction
 from dtspan.trees import random_realization
 from oracles import random_distance
 
@@ -43,11 +43,11 @@ ALL_ONE = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 def test_fraction_strings_are_canonical():
     assert fraction_to_str(Fraction(4, 6)) == "2/3"
     assert fraction_to_str(Fraction(-3, 1)) == "-3"
-    assert str_to_fraction("2/3") == Fraction(2, 3)
-    assert str_to_fraction(5) == 5
+    assert as_fraction("2/3") == Fraction(2, 3)
+    assert as_fraction(5) == 5
     for bad in (0.5, True, "abc", "1/0", None, [1]):
         with pytest.raises(DomainError) as err:
-            str_to_fraction(bad)
+            as_fraction(bad)
         assert err.value.code == "InputParseError"
 
 
@@ -120,7 +120,7 @@ def test_splits_to_json():
     for obj, term in zip(objs, terms):
         assert tuple(obj["side_a"]) == term.side_a
         assert tuple(obj["side_b"]) == term.side_b
-        assert str_to_fraction(obj["coeff"]) == term.coeff
+        assert as_fraction(obj["coeff"]) == term.coeff
 
 
 def test_complex_and_skeleton_shapes():

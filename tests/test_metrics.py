@@ -19,7 +19,7 @@ from dtspan import (
     tropical_rank,
     validate_distance,
 )
-from oracles import random_distance, random_metric
+from oracles import random_distance, random_metric, scan_cases, sextuple_scan
 
 ALL_ONE = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
@@ -46,6 +46,8 @@ def test_validate_default_labels():
         ([[0, 0.5], [1, 0]], None, "InputParseError"),
         ([[0, 1], [1, 0]], ("a", "a"), "DuplicateLabel"),
         ([[0, 1], [1, 0]], ("a",), "NonSquare"),
+        # one rational parser for the library and the JSON layer: True is not 1
+        ([[True]], None, "InputParseError"),
     ],
 )
 def test_validate_rejects_malformed(matrix, labels, code):
@@ -145,6 +147,20 @@ def test_tree_condition_frozen():
     # symmetric line metric has tropical rank 2, so it passes too
     line = distance_from_entries([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     assert check_tree_condition(line) == (True, None)
+    # generic 3x3: the cyclic matching 0->1, 1->2, 2->0 (sum 15) is the strict best
+    cyclic = distance_from_entries([[0, 5, 1], [1, 0, 5], [5, 1, 0]])
+    assert check_tree_condition(cyclic) == (False, (0, 1, 2, 1, 2, 0))
+    assert sextuple_scan(cyclic) == (False, (0, 1, 2, 1, 2, 0))
+
+
+def test_tree_condition_matches_sextuple_scan():
+    # the minor scan returns exactly the n**6 scan's lex-smallest violator
+    outcomes = set()
+    for mu in scan_cases(seed=505):
+        got = check_tree_condition(mu)
+        assert got == sextuple_scan(mu)
+        outcomes.add((mu.n, got[0]))
+    assert {(4, False), (4, True), (5, False), (5, True)} <= outcomes
 
 
 def test_conditions_match_matching_criteria():

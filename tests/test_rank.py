@@ -9,7 +9,6 @@ import pytest
 from dtspan import (
     DomainError,
     MatchingInstance,
-    brute_force_unique,
     dim_tight_span,
     dim_tight_span_witness,
     distance_from_entries,
@@ -18,7 +17,7 @@ from dtspan import (
     tropical_rank,
     tropical_rank_witness,
 )
-from oracles import random_distance
+from oracles import brute_force_unique, random_distance, scan_cases, search_unique_top_down
 
 ALL_ONE = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 LINE = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
@@ -127,6 +126,17 @@ def test_witnesses_certify():
                         continue
                     bigger = MatchingInstance.from_distance(mu, aa, bb)
                     assert not is_unique_optimum(bigger, mode=mode)
+
+
+def test_bottom_up_search_matches_top_down():
+    # downward closure: the bottom-up search finds the top-down (k, witness)
+    ranks = set()
+    for mu in scan_cases(seed=606):
+        for mode, fn in (("MT", dim_tight_span_witness), ("PMT", tropical_rank_witness)):
+            got = fn(mu)
+            assert got == search_unique_top_down(mu, mode)
+            ranks.add((mode, got[0]))
+    assert {("MT", 0), ("MT", 2), ("MT", 3), ("PMT", 2), ("PMT", 4)} <= ranks
 
 
 def test_rank_dimension_sandwich():
