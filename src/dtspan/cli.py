@@ -60,19 +60,25 @@ def _load(path: str):
         raise DomainError("InputParseError", f"{path}: {exc}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise DomainError("OutputWriteError", f"cannot write {path}: {exc}")
+
+
 def _emit(obj, args) -> None:
     text = jsonio.dumps(obj)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write(args.out, text)
     else:
         print(text)
 
 
 def _write_dot(text: str, args) -> None:
     if getattr(args, "dot", None):
-        with open(args.dot, "w") as fh:
-            fh.write(text + "\n")
+        _write(args.dot, text)
 
 
 def _witness_json(witness):
@@ -276,11 +282,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        result = args.fn(args)
+        _emit(args.fn(args), args)
     except DomainError as exc:
         print(jsonio.dumps(exc.to_json()))
         return 2 if exc.code == "UsageError" else 1
-    _emit(result, args)
     return 0
 
 

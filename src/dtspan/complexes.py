@@ -6,35 +6,41 @@ complex is determined by the vertices of P that are minimal points.  The
 pipeline:
 
 1. enumerate the vertices of P exactly, by incremental double description
-   on the homogenization cone (all arithmetic in Fractions);
-2. keep the vertices whose equality graph covers every positive coordinate;
-3. assemble faces from binding sets: every face's binding set is the
-   intersection of its vertices' binding sets, so candidates come from the
-   intersection closure, and a candidate is accepted when the average of its
-   vertices realizes exactly that binding set and is itself a minimal point;
-4. subcomplexes: Q+ keeps the faces whose relative interior has no isolated
-   equality-graph vertex; the canonical section keeps the Q+ faces on which
-   some row coordinate vanishes identically.
+   on the homogenization cone (all arithmetic in Fractions), each ray
+   carrying the set of constraints tight on it;
+2. keep the vertices whose binding set (tight couplings plus zero
+   coordinates) is minimal: every column or row that no tight coupling
+   covers is a zero coordinate;
+3. read the faces of T off binding sets: a face's binding set is the
+   intersection of its vertices' binding sets, so the candidates are the
+   intersection closure of the vertex bindings.  Each candidate is the
+   binding set of the average of the vertices above it, so it is a face of
+   T exactly when it passes the same minimality test, and its vertices,
+   tight couplings, zero coordinates, dimension and directions all come
+   from the binding set alone;
+4. subcomplexes are filters of T: Q+ keeps the faces whose tight couplings
+   cover every column and row; the canonical section keeps the Q+ faces on
+   which some row coordinate vanishes identically.
 
-Face dimension is the number of equality-graph components free of zero
-coordinates, cross-checked downstream against the affine rank of the vertex
-set.  Everything is ordered canonically so output is byte-stable.
+Face dimension is the number of components of the tight-coupling graph free
+of zero coordinates, cross-checked in the tests against the affine rank of
+the vertex set.  Everything is ordered canonically so output is byte-stable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 from .errors import DomainError, certify
-from .geometry import EqualityGraph, ExtPoint, Membership, _tight_edges, classify_membership
+from .geometry import EqualityGraph, ExtPoint, _tight_edges, dinf
 from .metrics import DirectedDistance
 
 F0 = Fraction(0)
 F1 = Fraction(1)
 
-DEFAULT_CAP = 5
+ENUM_CAP = 5
 
 
 # -- double description -------------------------------------------------------
@@ -51,59 +57,43 @@ def _normalize_ray(r: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
     raise DomainError("InternalCertificate", "zero ray")
 
 
-def _extreme_rays(dim: int, rows: List[Tuple[Fraction, ...]]) -> List[Tuple[Fraction, ...]]:
+Ray = Tuple[Tuple[Fraction, ...], FrozenSet[int]]
+
+
+def _extreme_rays(dim: int, rows: List[Tuple[Fraction, ...]]) -> List[Ray]:
     """Extreme rays of {x >= 0, rows . x >= 0} by incremental double description.
 
-    The cone is pointed (it sits in the orthant), so the combinatorial
-    adjacency test over the constraints processed so far is sound.
+    Each ray comes with its zero set: the indices of the constraints
+    processed so far that are tight on it, the orthant facets x_i >= 0 being
+    0..dim-1 and row k being dim + k.  A kept ray gains the current row when
+    it is zero there; a new ray, a positive combination of an adjacent pair,
+    is tight exactly where both are, plus the current row.  The cone is
+    pointed (it sits in the orthant), so the combinatorial adjacency test
+    over these zero sets is sound.
     """
-    rays: List[Tuple[Fraction, ...]] = []
+    rays: List[Ray] = []
     for i in range(dim):
         unit = [F0] * dim
         unit[i] = F1
-        rays.append(tuple(unit))
-    done: List[Tuple[Fraction, ...]] = []
-    for i in range(dim):
-        unit = [F0] * dim
-        unit[i] = F1
-        done.append(tuple(unit))
-
-    def zero_set(r: Tuple[Fraction, ...]) -> FrozenSet[int]:
-        return frozenset(k for k, row in enumerate(done) if _dot(row, r) == 0)
-
-    for a in rows:
-        vals = [_dot(a, r) for r in rays]
+        rays.append((tuple(unit), frozenset(range(dim)) - {i}))
+    for c, a in enumerate(rows, dim):
+        vals = [_dot(a, r) for r, _ in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
-        zer = [i for i, v in enumerate(vals) if v == 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
-        if not neg:
-            done.append(a)
-            continue
-        zsets = [zero_set(r) for r in rays]
-        keep = [rays[i] for i in pos + zer]
-        new: List[Tuple[Fraction, ...]] = []
+        zsets = [z for _, z in rays]
+        new: List[Ray] = []
         for ip in pos:
             for ineg in neg:
                 meet = zsets[ip] & zsets[ineg]
-                adjacent = True
-                for k, z in enumerate(zsets):
-                    if k == ip or k == ineg:
-                        continue
-                    if meet <= z:
-                        adjacent = False
-                        break
-                if not adjacent:
+                if any(meet <= z for k, z in enumerate(zsets) if k != ip and k != ineg):
                     continue
                 combo = tuple(
                     vals[ip] * rn - vals[ineg] * rp
-                    for rp, rn in zip(rays[ip], rays[ineg])
+                    for rp, rn in zip(rays[ip][0], rays[ineg][0])
                 )
-                new.append(_normalize_ray(combo))
-        done.append(a)
-        merged: Dict[Tuple[Fraction, ...], None] = {}
-        for r in keep + new:
-            merged.setdefault(r, None)
-        rays = list(merged.keys())
+                new.append((_normalize_ray(combo), meet | {c}))
+        kept = [(r, z | {c} if v == 0 else z) for (r, z), v in zip(rays, vals) if v >= 0]
+        rays = kept + new
     return rays
 
 
@@ -120,7 +110,7 @@ def polyhedron_vertices(mu: DirectedDistance) -> List[ExtPoint]:
             row[2 * n] = -mu.entries[s][t]
             rows.append(tuple(row))
     verts = []
-    for r in _extreme_rays(dim, rows):
+    for r, _ in _extreme_rays(dim, rows):
         if r[-1] != 0:
             scaled = tuple(x / r[-1] for x in r[:-1])
             verts.append(ExtPoint(mu.ground, scaled[:n], scaled[n:]))
@@ -147,7 +137,6 @@ class Face:
     zero_cols: Tuple[int, ...]
     zero_rows: Tuple[int, ...]
     directions: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
-    bounded: bool = True
 
 
 @dataclass(frozen=True)
@@ -160,16 +149,6 @@ class PolyComplex:
     @property
     def dim(self) -> int:
         return max((f.dim for f in self.faces), default=0)
-
-    def incidence(self) -> List[Tuple[int, int]]:
-        """(i, j) pairs with face i a proper subface of face j."""
-        out = []
-        vs = [frozenset(f.vertex_ids) for f in self.faces]
-        for i, a in enumerate(vs):
-            for j, b in enumerate(vs):
-                if i != j and a < b:
-                    out.append((i, j))
-        return out
 
     def maximal_faces(self) -> List[int]:
         vs = [frozenset(f.vertex_ids) for f in self.faces]
@@ -195,38 +174,38 @@ def _binding(mu: DirectedDistance, p: ExtPoint) -> FrozenSet:
     return frozenset(items)
 
 
-def _average(ground, pts: Sequence[ExtPoint]) -> ExtPoint:
-    m = Fraction(1, len(pts))
-    col = tuple(sum((p.col[i] for p in pts), F0) * m for i in range(ground.n))
-    row = tuple(sum((p.row[i] for p in pts), F0) * m for i in range(ground.n))
-    return ExtPoint(ground, col, row)
+def _parts(n: int, b: FrozenSet) -> Tuple[EqualityGraph, FrozenSet[int], FrozenSet[int]]:
+    """The tight-coupling graph, zero columns and zero rows of a binding set."""
+    k = EqualityGraph(n, frozenset(x[1:] for x in b if x[0] == "e"))
+    zc = frozenset(x[1] for x in b if x[0] == "zc")
+    zr = frozenset(x[1] for x in b if x[0] == "zr")
+    return k, zc, zr
 
 
-def _is_minimal_in_p(mu: DirectedDistance, p: ExtPoint) -> bool:
-    return classify_membership(mu, p) in (Membership.T_NOT_QPLUS, Membership.QPLUS)
+def _is_minimal(n: int, b: FrozenSet) -> bool:
+    """Whether the points of P with binding set b lie in T: every column and
+    row that no tight coupling covers is a zero coordinate."""
+    k, zc, zr = _parts(n, b)
+    return k.isolated_cols() <= zc and k.isolated_rows() <= zr
 
 
-def _face_from_witness(mu: DirectedDistance, ids: Tuple[int, ...], witness: ExtPoint) -> Face:
-    edges = tuple(sorted(_tight_edges(mu, witness)))
-    zc = tuple(s for s in range(mu.n) if witness.col[s] == 0)
-    zr = tuple(t for t in range(mu.n) if witness.row[t] == 0)
-    k = EqualityGraph(mu.n, frozenset(edges))
-    free = []
-    for cols, rows in k.components():
-        if any(witness.col[s] == 0 for s in cols) or any(witness.row[t] == 0 for t in rows):
-            continue
-        free.append((tuple(sorted(cols)), tuple(sorted(rows))))
-    free.sort()
-    return Face(ids, len(free), edges, zc, zr, tuple(free), True)
+def _face(n: int, ids: Tuple[int, ...], b: FrozenSet) -> Face:
+    k, zc, zr = _parts(n, b)
+    free = k.free_components(zc, zr)
+    edges = tuple(sorted(k.edges))
+    return Face(ids, len(free), edges, tuple(sorted(zc)), tuple(sorted(zr)), tuple(free))
 
 
-def enumerate_tight_span(mu: DirectedDistance, cap: int = DEFAULT_CAP) -> PolyComplex:
+def enumerate_tight_span(mu: DirectedDistance) -> PolyComplex:
     """The directed tight span as a finite polyhedral complex."""
-    if mu.n > cap:
-        raise DomainError("GroundSetTooLarge", f"n={mu.n} exceeds enumeration cap {cap}")
-    all_vertices = polyhedron_vertices(mu)
-    vertices = [p for p in all_vertices if _is_minimal_in_p(mu, p)]
-    bindings = [_binding(mu, p) for p in vertices]
+    if mu.n > ENUM_CAP:
+        raise DomainError("GroundSetTooLarge", f"n={mu.n} exceeds enumeration cap {ENUM_CAP}")
+    vertices, bindings = [], []
+    for p in polyhedron_vertices(mu):
+        b = _binding(mu, p)
+        if _is_minimal(mu.n, b):
+            vertices.append(p)
+            bindings.append(b)
 
     candidates = set(bindings)
     frontier = set(bindings)
@@ -240,61 +219,38 @@ def enumerate_tight_span(mu: DirectedDistance, cap: int = DEFAULT_CAP) -> PolyCo
         candidates |= nxt
         frontier = nxt
 
-    faces = []
-    seen = set()
-    for b in candidates:
-        ids = tuple(i for i, vb in enumerate(bindings) if vb >= b)
-        if not ids or ids in seen:
-            continue
-        witness = _average(mu.ground, [vertices[i] for i in ids])
-        if _binding(mu, witness) != b:
-            continue
-        if not _is_minimal_in_p(mu, witness):
-            continue
-        seen.add(ids)
-        faces.append(_face_from_witness(mu, ids, witness))
+    faces = [
+        _face(mu.n, tuple(i for i, vb in enumerate(bindings) if vb >= b), b)
+        for b in candidates
+        if _is_minimal(mu.n, b)
+    ]
     faces.sort(key=lambda f: (f.dim, f.vertex_ids))
     return PolyComplex("T", mu.labels, tuple(vertices), tuple(faces))
+
+
+def _in_qplus(n: int, f: Face) -> bool:
+    k = EqualityGraph(n, frozenset(f.edges))
+    return not k.isolated_cols() and not k.isolated_rows()
 
 
 def _restrict(parent: PolyComplex, keep: List[Face], which: str) -> PolyComplex:
     used = sorted({i for f in keep for i in f.vertex_ids})
     remap = {old: new for new, old in enumerate(used)}
-    faces = tuple(
-        Face(
-            tuple(remap[i] for i in f.vertex_ids),
-            f.dim,
-            f.edges,
-            f.zero_cols,
-            f.zero_rows,
-            f.directions,
-            f.bounded,
-        )
-        for f in keep
-    )
+    faces = tuple(replace(f, vertex_ids=tuple(remap[i] for i in f.vertex_ids)) for f in keep)
     vertices = tuple(parent.vertices[i] for i in used)
     return PolyComplex(which, parent.ground_labels, vertices, faces)
 
 
-def enumerate_qplus(mu: DirectedDistance, cap: int = DEFAULT_CAP) -> PolyComplex:
+def enumerate_qplus(mu: DirectedDistance) -> PolyComplex:
     """The subcomplex of minimal elements of the coupling polyhedron in the orthant."""
-    t = enumerate_tight_span(mu, cap)
-    n = len(t.ground_labels)
-    keep = []
-    for f in t.faces:
-        k = EqualityGraph(n, frozenset(f.edges))
-        if not k.isolated_cols() and not k.isolated_rows():
-            keep.append(f)
-    keep.sort(key=lambda f: (f.dim, f.vertex_ids))
-    return _restrict(t, keep, "Qplus")
+    t = enumerate_tight_span(mu)
+    return _restrict(t, [f for f in t.faces if _in_qplus(mu.n, f)], "Qplus")
 
 
-def enumerate_section(mu: DirectedDistance, cap: int = DEFAULT_CAP) -> PolyComplex:
+def enumerate_section(mu: DirectedDistance) -> PolyComplex:
     """The canonical balanced section: Q+ faces with an identically zero row."""
-    q = enumerate_qplus(mu, cap)
-    keep = [f for f in q.faces if f.zero_rows]
-    keep.sort(key=lambda f: (f.dim, f.vertex_ids))
-    return _restrict(q, keep, "Section")
+    t = enumerate_tight_span(mu)
+    return _restrict(t, [f for f in t.faces if _in_qplus(mu.n, f) and f.zero_rows], "Section")
 
 
 # -- skeleton -----------------------------------------------------------------
@@ -314,8 +270,6 @@ def skeleton_graph(complex_: PolyComplex) -> SkeletonGraph:
     On every 1-face exactly one of the two directed distances between the
     endpoints vanishes; the arc runs the other way with that positive length.
     """
-    from .geometry import dinf
-
     if complex_.dim > 1:
         raise DomainError("DimensionTooHigh", f"skeleton needs dim <= 1, got {complex_.dim}")
     arcs = []

@@ -169,6 +169,20 @@ class EqualityGraph:
                 comps.append((frozenset(cols), frozenset(rows)))
         return comps
 
+    def free_components(
+        self, zero_cols: Iterable[int], zero_rows: Iterable[int]
+    ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """Components touching no zero coordinate, as sorted (column tuple,
+        row tuple) pairs in sorted order.  On a face of T these span the
+        face, one direction (+1 on the columns, -1 on the rows) each."""
+        free = [
+            (tuple(sorted(cols)), tuple(sorted(rows)))
+            for cols, rows in self.components()
+            if cols.isdisjoint(zero_cols) and rows.isdisjoint(zero_rows)
+        ]
+        free.sort()
+        return free
+
 
 # -- distances ---------------------------------------------------------------
 
@@ -308,12 +322,9 @@ def face_dimension(mu: DirectedDistance, p: ExtPoint):
     if not in_tight_span(mu, p):
         raise DomainError("NotInTightSpan", "face dimension is defined on the tight span")
     k = EqualityGraph(mu.n, _tight_edges(mu, p))
-    free = []
-    for cols, rows in k.components():
-        if any(p.col[s] == 0 for s in cols) or any(p.row[t] == 0 for t in rows):
-            continue
-        free.append((tuple(sorted(cols)), tuple(sorted(rows))))
-    free.sort()
+    free = k.free_components(
+        [s for s in range(mu.n) if p.col[s] == 0], [t for t in range(mu.n) if p.row[t] == 0]
+    )
     return len(free), free
 
 

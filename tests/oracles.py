@@ -6,22 +6,32 @@ elimination, the metric-extension minimum from the full triangle LP,
 matching uniqueness from listing every matching, and the sextuple condition
 from all n**6 index tuples.  None of it touches the double-description,
 matching or dual-length code, so agreement between the two routes is
-meaningful evidence.  The one exception is ``search_unique_top_down``: it
-reuses the library's uniqueness test on purpose, so that comparing it with
-the bottom-up search checks the search order alone.
+meaningful evidence.  Two routes are the library's former implementations,
+kept as they were: ``zero_set_extreme_rays`` recomputes every zero set on
+every round, and ``witness_tight_span`` checks each candidate face at the
+average of its vertices; comparing the library with them checks its
+bookkeeping of zero and binding sets.  The one exception is
+``search_unique_top_down``: it reuses the library's uniqueness test on
+purpose, so that comparing it with the bottom-up search checks the search
+order alone.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from dtspan import (
     DirectedDistance,
+    DomainError,
+    EqualityGraph,
     ExtPoint,
     MatchingInstance,
+    Membership,
     MetricExtension,
+    classify_membership,
     distance_from_entries,
+    equality_graph,
     evaluate_realization,
     is_unique_optimum,
     linear_program,
@@ -126,6 +136,164 @@ def vertex_oracle(mu: DirectedDistance) -> List[ExtPoint]:
     pts = [point(mu, x[: mu.n], x[mu.n :]) for x in found]
     pts.sort(key=lambda p: p.key())
     return pts
+
+
+# -- double description and face assembly, the witness route ---------------------
+
+
+def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _normalize_ray(r: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
+    for x in r:
+        if x != 0:
+            return tuple(y / x for y in r)
+    raise DomainError("InternalCertificate", "zero ray")
+
+
+def zero_set_extreme_rays(dim: int, rows: List[Tuple[Fraction, ...]]) -> List[Tuple[Fraction, ...]]:
+    """Extreme rays of {x >= 0, rows . x >= 0} by double description that
+    recomputes every ray's zero set against all processed constraints on
+    every round."""
+    rays: List[Tuple[Fraction, ...]] = []
+    for i in range(dim):
+        unit = [F0] * dim
+        unit[i] = F1
+        rays.append(tuple(unit))
+    done: List[Tuple[Fraction, ...]] = []
+    for i in range(dim):
+        unit = [F0] * dim
+        unit[i] = F1
+        done.append(tuple(unit))
+
+    def zero_set(r: Tuple[Fraction, ...]) -> FrozenSet[int]:
+        return frozenset(k for k, row in enumerate(done) if _dot(row, r) == 0)
+
+    for a in rows:
+        vals = [_dot(a, r) for r in rays]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        zer = [i for i, v in enumerate(vals) if v == 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        if not neg:
+            done.append(a)
+            continue
+        zsets = [zero_set(r) for r in rays]
+        keep = [rays[i] for i in pos + zer]
+        new: List[Tuple[Fraction, ...]] = []
+        for ip in pos:
+            for ineg in neg:
+                meet = zsets[ip] & zsets[ineg]
+                adjacent = True
+                for k, z in enumerate(zsets):
+                    if k == ip or k == ineg:
+                        continue
+                    if meet <= z:
+                        adjacent = False
+                        break
+                if not adjacent:
+                    continue
+                combo = tuple(
+                    vals[ip] * rn - vals[ineg] * rp
+                    for rp, rn in zip(rays[ip], rays[ineg])
+                )
+                new.append(_normalize_ray(combo))
+        done.append(a)
+        merged: Dict[Tuple[Fraction, ...], None] = {}
+        for r in keep + new:
+            merged.setdefault(r, None)
+        rays = list(merged.keys())
+    return rays
+
+
+def zero_set_polyhedron_vertices(mu: DirectedDistance) -> List[ExtPoint]:
+    """All vertices of P, via the homogenization cone in R^(2n+1)."""
+    n = mu.n
+    dim = 2 * n + 1
+    rows = []
+    for s in range(n):
+        for t in range(n):
+            row = [F0] * dim
+            row[s] = F1
+            row[n + t] = F1
+            row[2 * n] = -mu.entries[s][t]
+            rows.append(tuple(row))
+    verts = []
+    for r in zero_set_extreme_rays(dim, rows):
+        if r[-1] != 0:
+            scaled = tuple(x / r[-1] for x in r[:-1])
+            verts.append(ExtPoint(mu.ground, scaled[:n], scaled[n:]))
+    verts.sort(key=lambda p: p.key())
+    return verts
+
+
+def _binding(mu: DirectedDistance, p: ExtPoint) -> FrozenSet:
+    items = {("e",) + e for e in equality_graph(mu, p).edges}
+    items.update(("zc", s) for s in range(mu.n) if p.col[s] == 0)
+    items.update(("zr", t) for t in range(mu.n) if p.row[t] == 0)
+    return frozenset(items)
+
+
+def _average(ground, pts: Sequence[ExtPoint]) -> ExtPoint:
+    m = Fraction(1, len(pts))
+    col = tuple(sum((p.col[i] for p in pts), F0) * m for i in range(ground.n))
+    row = tuple(sum((p.row[i] for p in pts), F0) * m for i in range(ground.n))
+    return ExtPoint(ground, col, row)
+
+
+def _is_minimal_in_p(mu: DirectedDistance, p: ExtPoint) -> bool:
+    return classify_membership(mu, p) in (Membership.T_NOT_QPLUS, Membership.QPLUS)
+
+
+def _face_from_witness(mu: DirectedDistance, ids: Tuple[int, ...], witness: ExtPoint):
+    edges = tuple(sorted(equality_graph(mu, witness).edges))
+    zc = tuple(s for s in range(mu.n) if witness.col[s] == 0)
+    zr = tuple(t for t in range(mu.n) if witness.row[t] == 0)
+    k = EqualityGraph(mu.n, frozenset(edges))
+    free = []
+    for cols, rows in k.components():
+        if any(witness.col[s] == 0 for s in cols) or any(witness.row[t] == 0 for t in rows):
+            continue
+        free.append((tuple(sorted(cols)), tuple(sorted(rows))))
+    free.sort()
+    return (ids, len(free), edges, zc, zr, tuple(free))
+
+
+def witness_tight_span(mu: DirectedDistance):
+    """Vertices and faces of T, each candidate face checked at the average
+    of its vertices.  Faces are (vertex_ids, dim, edges, zero_cols,
+    zero_rows, directions) tuples."""
+    all_vertices = zero_set_polyhedron_vertices(mu)
+    vertices = [p for p in all_vertices if _is_minimal_in_p(mu, p)]
+    bindings = [_binding(mu, p) for p in vertices]
+
+    candidates = set(bindings)
+    frontier = set(bindings)
+    while frontier:
+        nxt = set()
+        for b in frontier:
+            for b2 in bindings:
+                meet = b & b2
+                if meet not in candidates:
+                    nxt.add(meet)
+        candidates |= nxt
+        frontier = nxt
+
+    faces = []
+    seen = set()
+    for b in candidates:
+        ids = tuple(i for i, vb in enumerate(bindings) if vb >= b)
+        if not ids or ids in seen:
+            continue
+        witness = _average(mu.ground, [vertices[i] for i in ids])
+        if _binding(mu, witness) != b:
+            continue
+        if not _is_minimal_in_p(mu, witness):
+            continue
+        seen.add(ids)
+        faces.append(_face_from_witness(mu, ids, witness))
+    faces.sort(key=lambda f: (f[1], f[0]))
+    return vertices, faces
 
 
 # -- matchings and the tree condition --------------------------------------------

@@ -246,6 +246,19 @@ def test_missing_file_is_parse_error(capsys):
     assert out["error"]["code"] == "InputParseError"
 
 
+def test_unwritable_output_is_write_error(files, capsys):
+    tmp_path, write = files
+    mpath = write("m.json", ONE_WAY)
+    missing = tmp_path / "missing"
+    for argv in (
+        ["validate", mpath, "--out", str(missing / "x.json")],
+        ["realize", "path", mpath, "--dot", str(missing / "x.dot")],
+    ):
+        code, out = run(capsys, argv)
+        assert code == 1
+        assert out["error"]["code"] == "OutputWriteError"
+
+
 def test_parser_is_built_once_and_keeps_no_state():
     assert _parser() is _parser()
     first = _parser().parse_args(["skeleton", "m.json", "--of", "tightspan", "--dot", "g.dot"])

@@ -22,7 +22,14 @@ from dtspan import (
     skeleton_graph,
     tropical_rank_witness,
 )
-from oracles import affine_rank, random_distance, vertex_oracle
+from dtspan.complexes import polyhedron_vertices
+from oracles import (
+    affine_rank,
+    random_distance,
+    vertex_oracle,
+    witness_tight_span,
+    zero_set_polyhedron_vertices,
+)
 
 ALL_ONE = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 T_NE_QPLUS = [[0, 0, 0], [1, 0, 1], [1, 1, 0]]
@@ -86,8 +93,6 @@ def test_tight_span_strictly_larger_than_qplus():
 
 
 def test_vertices_match_brute_force():
-    from dtspan.complexes import polyhedron_vertices
-
     rng = random.Random(12)
     mats = [ALL_ONE, T_NE_QPLUS, [[0, 0, 0], [0, 0, 0], [0, 0, 0]]]
     instances = [distance_from_entries(m) for m in mats]
@@ -99,6 +104,30 @@ def test_vertices_match_brute_force():
         fast = [p.key() for p in polyhedron_vertices(mu)]
         slow = [p.key() for p in vertex_oracle(mu)]
         assert fast == slow
+
+
+def test_vertices_match_zero_set_route():
+    # carried zero sets give exactly the rays of recomputed ones
+    rng = random.Random(14)
+    for n, count in ((1, 10), (2, 10), (3, 8), (4, 4), (5, 2)):
+        for k in range(count):
+            mu = random_distance(rng, n, zeros=0.3 if k % 2 else 0.0)
+            assert polyhedron_vertices(mu) == zero_set_polyhedron_vertices(mu)
+
+
+def test_faces_match_witness_route():
+    # faces read off binding sets equal faces checked at a witness point
+    rng = random.Random(15)
+    for n, count in ((1, 6), (2, 12), (3, 12), (4, 4)):
+        for k in range(count):
+            mu = random_distance(rng, n, zeros=0.3 if k % 2 else 0.0)
+            t = enumerate_tight_span(mu)
+            vertices, faces = witness_tight_span(mu)
+            assert t.vertices == tuple(vertices)
+            assert [
+                (f.vertex_ids, f.dim, f.edges, f.zero_cols, f.zero_rows, f.directions)
+                for f in t.faces
+            ] == faces
 
 
 def test_vertex_membership_classes():
@@ -207,5 +236,7 @@ def test_enumeration_cap():
     with pytest.raises(DomainError) as err:
         enumerate_tight_span(mu)
     assert err.value.code == "GroundSetTooLarge"
-    with pytest.raises(DomainError):
-        enumerate_section(mu)
+    for enumerate_ in (enumerate_qplus, enumerate_section):
+        with pytest.raises(DomainError) as err:
+            enumerate_(mu)
+        assert err.value.code == "GroundSetTooLarge"
