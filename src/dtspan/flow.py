@@ -76,12 +76,6 @@ class Network:
             if s not in vs:
                 raise DomainError("InvalidNetwork", f"terminal {s!r} is not a vertex")
 
-    def capacity(self, tail: str, head: str) -> int:
-        for t, h, c in self.edges:
-            if (t, h) == (tail, head):
-                return c
-        return 0
-
 
 def network(vertices, edges, terminals) -> Network:
     """Build a network, merging parallel edges by capacity sum."""
@@ -116,14 +110,14 @@ class Multiflow:
         return all(load.get((t, h), F0) <= c for t, h, c in net.edges)
 
 
-def enumerate_s_paths(net: Network, cap: int = PATH_ENUM_CAP) -> List[Tuple[str, ...]]:
+def enumerate_s_paths(net: Network) -> List[Tuple[str, ...]]:
     """All vertex-simple directed paths joining two distinct terminals.
 
     Intermediate vertices may be terminals; a path just may not revisit
     a vertex.
     """
-    if len(net.vertices) > cap:
-        raise DomainError("NetworkTooLarge", f"|V|={len(net.vertices)} exceeds cap {cap}")
+    if len(net.vertices) > PATH_ENUM_CAP:
+        raise DomainError("NetworkTooLarge", f"|V|={len(net.vertices)} exceeds cap {PATH_ENUM_CAP}")
     out: Dict[str, List[str]] = {v: [] for v in net.vertices}
     for tail, head, _ in net.edges:
         out[tail].append(head)

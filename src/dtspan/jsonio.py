@@ -35,6 +35,14 @@ def _expect(obj, key, kind, where):
     return value
 
 
+def _names(obj, key, where) -> list:
+    """A list of string names: points and subtrees name them as JSON object keys."""
+    value = _expect(obj, key, list, where)
+    if not all(isinstance(v, str) for v in value):
+        raise DomainError("InputParseError", f"{where}: field {key!r} must be a list of strings")
+    return value
+
+
 # -- distance matrices ---------------------------------------------------------
 
 
@@ -47,9 +55,7 @@ def distance_to_json(mu: DirectedDistance) -> dict:
 
 def distance_from_json(obj) -> DirectedDistance:
     matrix = _expect(obj, "matrix", list, "distance")
-    labels = obj.get("labels") if isinstance(obj, dict) else None
-    if labels is not None and not isinstance(labels, list):
-        raise DomainError("InputParseError", "distance: labels must be a list")
+    labels = None if obj.get("labels") is None else _names(obj, "labels", "distance")
     rows = []
     for row in matrix:
         if not isinstance(row, list):
@@ -95,9 +101,9 @@ def network_to_json(net: Network) -> dict:
 
 
 def network_from_json(obj) -> Network:
-    vertices = _expect(obj, "vertices", list, "network")
+    vertices = _names(obj, "vertices", "network")
     edges = _expect(obj, "edges", list, "network")
-    terminals = _expect(obj, "terminals", list, "network")
+    terminals = _names(obj, "terminals", "network")
     triples = []
     for e in edges:
         tail = _expect(e, "tail", str, "network edge")
@@ -124,9 +130,9 @@ def realization_to_json(r: Realization) -> dict:
 
 
 def realization_from_json(obj) -> Realization:
-    vertices = _expect(obj, "vertices", list, "realization")
+    vertices = _names(obj, "vertices", "realization")
     edges = _expect(obj, "edges", list, "realization")
-    terminals = _expect(obj, "terminals", list, "realization")
+    terminals = _names(obj, "terminals", "realization")
     subtrees = _expect(obj, "subtrees", dict, "realization")
     arcs = []
     for e in edges:
@@ -137,7 +143,7 @@ def realization_from_json(obj) -> Realization:
     tree = OrientedTree(tuple(vertices), tuple(arcs))
     if set(subtrees) != set(terminals):
         raise DomainError("InputParseError", "realization: one subtree per terminal")
-    subs = tuple(tuple(subtrees[s]) for s in terminals)
+    subs = tuple(tuple(_names(subtrees, s, "realization subtrees")) for s in terminals)
     return Realization(tree, tuple(terminals), subs)
 
 

@@ -1,10 +1,14 @@
 """Exact linear programming: two-phase primal simplex over Fractions.
 
-Bland's rule everywhere, so no cycling and no tolerances; dense tableaus,
-sized for the few-hundred-variable programs the flow module produces.
-Every optimal solve is returned together with dual multipliers and is
-re-verified against the full optimality certificate (primal feasibility,
-dual feasibility, equal objectives) before it leaves this module.
+Bland's rule everywhere, so no cycling and no tolerances.  The tableau
+keeps the current phase's objective row (the reduced costs) as one more
+row that every pivot updates, so pricing is a scan of that row.  Rows are
+stored dense, sized for the few-hundred-variable programs the flow module
+produces, but pivots and the certificate skip zero entries, which 0/1
+path rows are mostly made of.  Every optimal solve is returned together
+with dual multipliers and is re-verified against the full optimality
+certificate (primal feasibility, dual feasibility, equal objectives)
+before it leaves this module.
 
 Conventions: variables are nonnegative, row senses are "<=", ">=", "==".
 For a maximization the duals y satisfy A^T y >= c with y >= 0 on <= rows
@@ -94,7 +98,7 @@ def certificate_ok(lp: LinearProgram, sol: LPSolution) -> bool:
     if any(v < 0 for v in x):
         return False
     for row, sense, b in zip(lp.rows, lp.senses, lp.rhs):
-        lhs = sum(a * v for a, v in zip(row, x))
+        lhs = sum((a * v for a, v in zip(row, x) if a and v), F0)
         if sense == "<=" and lhs > b:
             return False
         if sense == ">=" and lhs < b:
@@ -110,13 +114,13 @@ def certificate_ok(lp: LinearProgram, sol: LPSolution) -> bool:
         if not want_nonneg and yi > 0:
             return False
     for j in range(lp.nvars):
-        pulled = sum(y[i] * lp.rows[i][j] for i in range(len(lp.rows)))
+        pulled = sum((yi * row[j] for yi, row in zip(y, lp.rows) if yi and row[j]), F0)
         if lp.maximize and pulled < lp.objective[j]:
             return False
         if not lp.maximize and pulled > lp.objective[j]:
             return False
-    primal = sum(c * v for c, v in zip(lp.objective, x))
-    dual = sum(b * yi for b, yi in zip(lp.rhs, y))
+    primal = sum((c * v for c, v in zip(lp.objective, x) if c and v), F0)
+    dual = sum((b * yi for b, yi in zip(lp.rhs, y) if b and yi), F0)
     return primal == sol.value and primal == dual
 
 
@@ -171,26 +175,30 @@ def solve(lp: LinearProgram) -> LPSolution:
     art_cols: Set[int] = set(artificial_of.values())
     enterable = [j for j in range(ncols) if j not in art_cols]
 
+    z: List[Fraction] = []  # the phase's reduced costs; last entry: its objective value
+
     def pivot(r: int, c: int) -> None:
         piv = tab[r][c]
-        tab[r] = [v / piv for v in tab[r]]
-        for i in range(len(tab)):
-            if i != r and tab[i][c] != 0:
-                f = tab[i][c]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[r])]
+        if piv != 1:
+            tab[r] = [v / piv if v else v for v in tab[r]]
+        prow = tab[r]
+        for i, row in enumerate(tab):
+            f = row[c]
+            if i != r and f:
+                tab[i] = [a - f * b if b else a for a, b in zip(row, prow)]
+        f = z[c]
+        if f:
+            z[:] = [a - f * b if b else a for a, b in zip(z, prow)]
         basis[r] = c
 
-    def reduced(cost: Sequence[Fraction], j: int) -> Fraction:
-        z = sum(cost[basis[i]] * tab[i][j] for i in range(len(tab)))
-        return z - cost[j]
-
     def run(cost: Sequence[Fraction]) -> str:
+        z[:] = [-c for c in cost] + [F0]
+        for i, row in enumerate(tab):
+            cb = cost[basis[i]]
+            if cb:
+                z[:] = [a + cb * b if b else a for a, b in zip(z, row)]
         while True:
-            enter = -1
-            for j in enterable:
-                if reduced(cost, j) < 0:
-                    enter = j
-                    break
+            enter = next((j for j in enterable if z[j] < 0), -1)
             if enter < 0:
                 return OPTIMAL
             leave, best = -1, None
@@ -209,7 +217,7 @@ def solve(lp: LinearProgram) -> LPSolution:
             cost1[c] = -F1
         status1 = run(cost1)
         certify(status1 == OPTIMAL, "phase 1 is bounded by construction")
-        if sum(cost1[basis[i]] * tab[i][-1] for i in range(len(tab))) != 0:
+        if z[-1] != 0:
             return LPSolution(INFEASIBLE)
         for i in sorted(range(len(tab)), reverse=True):
             if basis[i] not in art_cols:
@@ -233,12 +241,11 @@ def solve(lp: LinearProgram) -> LPSolution:
     for i, b in enumerate(basis):
         if b < n:
             x[b] = tab[i][-1]
-    value_int = sum(intc[j] * x[j] for j in range(n))
+    value_int = sum((intc[j] * x[j] for j in range(n)), F0)
 
     duals = [F0] * m
-    for pos, i in enumerate(rowid):
-        col = logical[i] if logical[i] >= 0 else artificial_of[i]
-        r = reduced(cost2, col)
+    for i in rowid:
+        r = z[logical[i] if logical[i] >= 0 else artificial_of[i]]
         duals[i] = -r if senses[i] == ">=" else r
     outer = 1 if lp.maximize else -1
     final_duals = tuple(outer * flips[i] * duals[i] for i in range(m))

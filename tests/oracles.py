@@ -6,20 +6,23 @@ elimination, the metric-extension minimum from the full triangle LP,
 matching uniqueness from listing every matching, and the sextuple condition
 from all n**6 index tuples.  None of it touches the double-description,
 matching or dual-length code, so agreement between the two routes is
-meaningful evidence.  Two routes are the library's former implementations,
-kept as they were: ``zero_set_extreme_rays`` recomputes every zero set on
-every round, and ``witness_tight_span`` checks each candidate face at the
-average of its vertices; comparing the library with them checks its
-bookkeeping of zero and binding sets.  The one exception is
-``search_unique_top_down``: it reuses the library's uniqueness test on
-purpose, so that comparing it with the bottom-up search checks the search
-order alone.
+meaningful evidence.  Three routes are the library's former
+implementations, kept as they were: ``zero_set_extreme_rays`` recomputes
+every zero set on every round, and ``witness_tight_span`` checks each
+candidate face at the average of its vertices; comparing the library with
+them checks its bookkeeping of zero and binding sets.
+``recomputed_pricing_solve`` recomputes every reduced cost on every
+simplex iteration; comparing it with ``solve`` checks that the objective
+row kept in the tableau prices exactly as the recomputation does.  The
+one exception is ``search_unique_top_down``: it reuses the library's
+uniqueness test on purpose, so that comparing it with the bottom-up
+search checks the search order alone.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from dtspan import (
     DirectedDistance,
@@ -43,6 +46,8 @@ from dtspan import (
     solve,
     validate_distance,
 )
+from dtspan.errors import certify
+from dtspan.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LPSolution, certificate_ok
 from dtspan.trees import KINDS
 
 F0 = Fraction(0)
@@ -520,3 +525,140 @@ def triangle_metric_lp(net, mu: DirectedDistance) -> Tuple[Fraction, MetricExten
     ]
     ext = MetricExtension(mu, distance_from_entries(entries, verts))
     return sol.value, ext
+
+
+# -- the simplex with recomputed pricing -------------------------------------------
+
+
+def recomputed_pricing_solve(lp: LinearProgram) -> LPSolution:
+    """The library's former ``solve``: every reduced cost recomputed per iteration."""
+    intc = lp.objective if lp.maximize else tuple(-c for c in lp.objective)
+    rows: List[Tuple[Fraction, ...]] = []
+    senses: List[str] = []
+    rhs: List[Fraction] = []
+    flips: List[int] = []
+    for row, sense, b in zip(lp.rows, lp.senses, lp.rhs):
+        if b < 0:
+            rows.append(tuple(-a for a in row))
+            senses.append({"<=": ">=", ">=": "<=", "==": "=="}[sense])
+            rhs.append(-b)
+            flips.append(-1)
+        else:
+            rows.append(row)
+            senses.append(sense)
+            rhs.append(b)
+            flips.append(1)
+
+    m, n = len(rows), lp.nvars
+    logical: List[int] = []
+    artificial_of: dict = {}
+    ncols = n
+    for i in range(m):
+        if senses[i] in ("<=", ">="):
+            logical.append(ncols)
+            ncols += 1
+        else:
+            logical.append(-1)
+    for i in range(m):
+        if senses[i] in (">=", "=="):
+            artificial_of[i] = ncols
+            ncols += 1
+
+    tab = [[F0] * (ncols + 1) for _ in range(m)]
+    basis: List[int] = []
+    rowid: List[int] = list(range(m))
+    for i in range(m):
+        for j in range(n):
+            tab[i][j] = rows[i][j]
+        if senses[i] == "<=":
+            tab[i][logical[i]] = F1
+        elif senses[i] == ">=":
+            tab[i][logical[i]] = -F1
+        if i in artificial_of:
+            tab[i][artificial_of[i]] = F1
+        tab[i][ncols] = rhs[i]
+        basis.append(logical[i] if senses[i] == "<=" else artificial_of[i])
+    art_cols: Set[int] = set(artificial_of.values())
+    enterable = [j for j in range(ncols) if j not in art_cols]
+
+    def pivot(r: int, c: int) -> None:
+        piv = tab[r][c]
+        tab[r] = [v / piv for v in tab[r]]
+        for i in range(len(tab)):
+            if i != r and tab[i][c] != 0:
+                f = tab[i][c]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[r])]
+        basis[r] = c
+
+    def reduced(cost: Sequence[Fraction], j: int) -> Fraction:
+        z = sum(cost[basis[i]] * tab[i][j] for i in range(len(tab)))
+        return z - cost[j]
+
+    def run(cost: Sequence[Fraction]) -> str:
+        while True:
+            enter = -1
+            for j in enterable:
+                if reduced(cost, j) < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return OPTIMAL
+            leave, best = -1, None
+            for i in range(len(tab)):
+                if tab[i][enter] > 0:
+                    ratio = tab[i][-1] / tab[i][enter]
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                        best, leave = ratio, i
+            if leave < 0:
+                return UNBOUNDED
+            pivot(leave, enter)
+
+    if art_cols:
+        cost1 = [F0] * ncols
+        for c in art_cols:
+            cost1[c] = -F1
+        status1 = run(cost1)
+        certify(status1 == OPTIMAL, "phase 1 is bounded by construction")
+        if sum(cost1[basis[i]] * tab[i][-1] for i in range(len(tab))) != 0:
+            return LPSolution(INFEASIBLE)
+        for i in sorted(range(len(tab)), reverse=True):
+            if basis[i] not in art_cols:
+                continue
+            target = next((j for j in enterable if tab[i][j] != 0), None)
+            if target is None:
+                # redundant original row; its dual multiplier stays zero
+                del tab[i]
+                del basis[i]
+                del rowid[i]
+            else:
+                pivot(i, target)
+
+    cost2 = [F0] * ncols
+    for j in range(n):
+        cost2[j] = intc[j]
+    if run(cost2) == UNBOUNDED:
+        return LPSolution(UNBOUNDED)
+
+    x = [F0] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = tab[i][-1]
+    value_int = sum(intc[j] * x[j] for j in range(n))
+
+    duals = [F0] * m
+    for pos, i in enumerate(rowid):
+        col = logical[i] if logical[i] >= 0 else artificial_of[i]
+        r = reduced(cost2, col)
+        duals[i] = -r if senses[i] == ">=" else r
+    outer = 1 if lp.maximize else -1
+    final_duals = tuple(outer * flips[i] * duals[i] for i in range(m))
+
+    sol = LPSolution(
+        OPTIMAL,
+        tuple(x),
+        value_int if lp.maximize else -value_int,
+        final_duals,
+    )
+    certify(certificate_ok(lp, sol), "simplex returned an uncertified optimum")
+    return sol
+

@@ -211,17 +211,40 @@ def test_usage_error_exit_code(files, capsys):
     assert code == 1 and out["error"]["code"] == "NotEulerian"
 
 
+TWO_TREE = {
+    "vertices": ["u0", "u1"],
+    "edges": [{"tail": "u0", "head": "u1", "length": "1"}],
+    "terminals": ["a", "b"],
+    "subtrees": {"a": ["u0"], "b": ["u1"]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, key, field, names",
+    [
+        (["validate", "m"], "m", "labels", [["s"], "t"]),
+        # JSON keys are strings, so no point could name an integer label
+        (["validate", "m"], "m", "labels", [0, 1]),
+        (["flow", "max", "n", "m"], "n", "vertices", [["s"], "x", "t"]),
+        (["flow", "max", "n", "m"], "n", "terminals", [["s"], "t"]),
+        (["decompose", "r"], "r", "vertices", [["u0"], "u1"]),
+        (["decompose", "r"], "r", "terminals", [["a"], "b"]),
+        (["decompose", "r"], "r", "subtrees", {"a": [["u0"]], "b": ["u1"]}),
+    ],
+)
+def test_non_string_names_are_parse_errors(files, capsys, argv, key, field, names):
+    _, write = files
+    inputs = {"m": ONE_WAY, "n": TRIANGLE_NET, "r": TWO_TREE}
+    paths = {k: write(f"{k}.json", obj) for k, obj in inputs.items()}
+    paths[key] = write("bad.json", dict(inputs[key], **{field: names}))
+    code, out = run(capsys, [paths.get(a, a) for a in argv])
+    assert code == 1
+    assert out["error"]["code"] == "InputParseError"
+
+
 def test_decompose(files, capsys):
     _, write = files
-    rpath = write(
-        "r.json",
-        {
-            "vertices": ["u0", "u1"],
-            "edges": [{"tail": "u0", "head": "u1", "length": "1"}],
-            "terminals": ["a", "b"],
-            "subtrees": {"a": ["u0"], "b": ["u1"]},
-        },
-    )
+    rpath = write("r.json", TWO_TREE)
     code, out = run(capsys, ["decompose", rpath])
     assert code == 0
     assert out["recombines"] is True and out["compatible"] is True

@@ -1,5 +1,6 @@
-"""Exact simplex: frozen solves, certificate verification, and a brute-force
-basic-point oracle on random bounded programs."""
+"""Exact simplex: frozen solves, certificate verification, a brute-force
+basic-point oracle on random bounded programs, and the former simplex with
+recomputed pricing on random programs of every status."""
 
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 from dtspan import DomainError, certificate_ok, linear_program, solve
 from dtspan.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
-from oracles import solve_square
+from oracles import recomputed_pricing_solve, solve_square
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -22,6 +23,10 @@ def test_single_variable_max():
     assert sol.x == (Fraction(3),) and sol.value == 3
     assert sol.duals == (F1,)
     assert certificate_ok(lp, sol)
+    # with no variables the objective is still the Fraction 0, not the int 0
+    empty = solve(linear_program([], [], [], []))
+    assert empty.status == OPTIMAL and empty.value == 0
+    assert type(empty.value) is Fraction
 
 
 def test_single_variable_min():
@@ -160,3 +165,38 @@ def test_certificate_rejects_wrong_duals():
     assert not certificate_ok(lp, forged)
     forged2 = sol.__class__(OPTIMAL, sol.x, Fraction(4), sol.duals)
     assert not certificate_ok(lp, forged2)
+
+
+def _random_program(rng):
+    """Mixed senses, negative right-hand sides, and sometimes a redundant
+    equality copy of a row, which phase 1 leaves with a basic artificial
+    and deletes."""
+    n = rng.randint(0, 4)
+    m = rng.randint(0, 4)
+    rows = [[Fraction(rng.randint(-2, 3)) for _ in range(n)] for _ in range(m)]
+    senses = [rng.choice(("<=", ">=", "==")) for _ in range(m)]
+    rhs = [Fraction(rng.randint(-3, 5), rng.randint(1, 2)) for _ in range(m)]
+    if m and rng.random() < 0.3:
+        i = rng.randrange(m)
+        senses[i] = "=="
+        rows.append(list(rows[i]))
+        senses.append("==")
+        rhs.append(rhs[i])
+    objective = [Fraction(rng.randint(-3, 4)) for _ in range(n)]
+    return linear_program(objective, rows, senses, rhs, maximize=rng.random() < 0.5)
+
+
+def test_solve_matches_recomputed_pricing():
+    rng = random.Random(211)
+    seen = set()
+    for _ in range(400):
+        lp = _random_program(rng)
+        got, want = solve(lp), recomputed_pricing_solve(lp)
+        assert (got.status, got.x, got.value, got.duals) == (
+            want.status,
+            want.x,
+            want.value,
+            want.duals,
+        )
+        seen.add(got.status)
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
