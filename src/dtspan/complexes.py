@@ -6,18 +6,21 @@ complex is determined by the vertices of P that are minimal points.  The
 pipeline:
 
 1. enumerate the vertices of P exactly, by incremental double description
-   on the homogenization cone (all arithmetic in Fractions), each ray
-   carrying the set of constraints tight on it;
-2. keep the vertices whose binding set (tight couplings plus zero
-   coordinates) is minimal: every column or row that no tight coupling
-   covers is a zero coordinate;
+   on the homogenization cone over the integers: mu is scaled by the least
+   common multiple of its denominators, rays are primitive integer vectors,
+   and each ray carries the set of constraints tight on it as a bitmask;
+   Fractions appear only when the vertices are written out;
+2. read each vertex's binding set (zero coordinates and tight couplings) as
+   an integer bitmask and keep the vertices whose binding set is minimal:
+   every column or row that no tight coupling covers is a zero coordinate,
+   one AND per column and row;
 3. read the faces of T off binding sets: a face's binding set is the
    intersection of its vertices' binding sets, so the candidates are the
-   intersection closure of the vertex bindings.  Each candidate is the
+   intersection closure of the vertex bitmasks.  Each candidate is the
    binding set of the average of the vertices above it, so it is a face of
    T exactly when it passes the same minimality test, and its vertices,
    tight couplings, zero coordinates, dimension and directions all come
-   from the binding set alone;
+   from the bitmask alone;
 4. subcomplexes are filters of T: Q+ keeps the faces whose tight couplings
    cover every column and row; the canonical section keeps the Q+ faces on
    which some row coordinate vanishes identically.
@@ -31,14 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import FrozenSet, List, Sequence, Tuple
+from math import gcd, lcm
+from typing import List, Tuple
 
 from .errors import DomainError, certify
-from .geometry import EqualityGraph, ExtPoint, _tight_edges, dinf
+from .geometry import EqualityGraph, ExtPoint, dinf
 from .metrics import DirectedDistance
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 ENUM_CAP = 5
 
@@ -46,74 +47,78 @@ ENUM_CAP = 5
 # -- double description -------------------------------------------------------
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum(x * y for x, y in zip(a, b))
+Ray = Tuple[List[int], int]
 
 
-def _normalize_ray(r: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
-    for x in r:
-        if x != 0:
-            return tuple(y / x for y in r)
-    raise DomainError("InternalCertificate", "zero ray")
+def _extreme_rays(m: List[List[int]]) -> List[Ray]:
+    """Extreme rays of {x >= 0, x_s + x_(n+t) >= m[s][t] x_2n} in R^(2n+1)
+    by incremental double description over the integers.
 
-
-Ray = Tuple[Tuple[Fraction, ...], FrozenSet[int]]
-
-
-def _extreme_rays(dim: int, rows: List[Tuple[Fraction, ...]]) -> List[Ray]:
-    """Extreme rays of {x >= 0, rows . x >= 0} by incremental double description.
-
-    Each ray comes with its zero set: the indices of the constraints
-    processed so far that are tight on it, the orthant facets x_i >= 0 being
-    0..dim-1 and row k being dim + k.  A kept ray gains the current row when
-    it is zero there; a new ray, a positive combination of an adjacent pair,
-    is tight exactly where both are, plus the current row.  The cone is
-    pointed (it sits in the orthant), so the combinatorial adjacency test
-    over these zero sets is sound.
+    Each ray is a primitive integer vector with its zero set as a bitmask:
+    the constraints processed so far that are tight on it, the orthant facets
+    x_i >= 0 being bits 0..2n and coupling (s, t) bit 2n + 1 + s*n + t.  A
+    kept ray gains the current bit when it is zero there; a new ray, a
+    positive combination of an adjacent pair, is tight exactly where both
+    are, plus the current bit.  The cone is pointed (it sits in the orthant)
+    and full-dimensional, so two rays are adjacent exactly when no third
+    ray's zero set contains their common one, which needs at least 2n - 1
+    common members.
     """
+    n = len(m)
+    dim = 2 * n + 1
+    full = (1 << dim) - 1
     rays: List[Ray] = []
     for i in range(dim):
-        unit = [F0] * dim
-        unit[i] = F1
-        rays.append((tuple(unit), frozenset(range(dim)) - {i}))
-    for c, a in enumerate(rows, dim):
-        vals = [_dot(a, r) for r, _ in rays]
+        unit = [0] * dim
+        unit[i] = 1
+        rays.append((unit, full ^ (1 << i)))
+    for c, (s, t) in enumerate(((s, t) for s in range(n) for t in range(n)), dim):
+        bit = 1 << c
+        mst = m[s][t]
+        vals = [r[s] + r[n + t] - mst * r[-1] for r, _ in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
         zsets = [z for _, z in rays]
         new: List[Ray] = []
         for ip in pos:
+            zp = zsets[ip]
             for ineg in neg:
-                meet = zsets[ip] & zsets[ineg]
-                if any(meet <= z for k, z in enumerate(zsets) if k != ip and k != ineg):
+                meet = zp & zsets[ineg]
+                if meet.bit_count() < dim - 2:
                     continue
-                combo = tuple(
-                    vals[ip] * rn - vals[ineg] * rp
-                    for rp, rn in zip(rays[ip][0], rays[ineg][0])
-                )
-                new.append((_normalize_ray(combo), meet | {c}))
-        kept = [(r, z | {c} if v == 0 else z) for (r, z), v in zip(rays, vals) if v >= 0]
+                if any(meet & z == meet for k, z in enumerate(zsets) if k != ip and k != ineg):
+                    continue
+                a, b = vals[ip], -vals[ineg]
+                combo = [a * rn + b * rp for rp, rn in zip(rays[ip][0], rays[ineg][0])]
+                g = gcd(*combo)
+                certify(g != 0, "zero ray")
+                new.append(([x // g for x in combo], meet | bit))
+        kept = [(r, z | bit if v == 0 else z) for (r, z), v in zip(rays, vals) if v >= 0]
         rays = kept + new
     return rays
 
 
 def polyhedron_vertices(mu: DirectedDistance) -> List[ExtPoint]:
-    """All vertices of P, via the homogenization cone in R^(2n+1)."""
+    """All vertices of P, via the homogenization cone in R^(2n+1).
+
+    The cone is built on L * mu, L the least common multiple of the entries'
+    denominators, so every ray is an integer vector; the vertex of P on ray r
+    is r[:2n] / (L * r[-1]).
+    """
     n = mu.n
-    dim = 2 * n + 1
-    rows = []
-    for s in range(n):
-        for t in range(n):
-            row = [F0] * dim
-            row[s] = F1
-            row[n + t] = F1
-            row[2 * n] = -mu.entries[s][t]
-            rows.append(tuple(row))
+    scale = lcm(*(x.denominator for row in mu.entries for x in row))
+    m = [[x.numerator * (scale // x.denominator) for x in row] for row in mu.entries]
     verts = []
-    for r, _ in _extreme_rays(dim, rows):
+    for r, _ in _extreme_rays(m):
         if r[-1] != 0:
-            scaled = tuple(x / r[-1] for x in r[:-1])
-            verts.append(ExtPoint(mu.ground, scaled[:n], scaled[n:]))
+            d = r[-1] * scale
+            verts.append(
+                ExtPoint(
+                    mu.ground,
+                    tuple(Fraction(x, d) for x in r[:n]),
+                    tuple(Fraction(x, d) for x in r[n:-1]),
+                )
+            )
     verts.sort(key=lambda p: p.key())
     return verts
 
@@ -167,43 +172,54 @@ class PolyComplex:
         ]
 
 
-def _binding(mu: DirectedDistance, p: ExtPoint) -> FrozenSet:
-    items = {("e",) + e for e in _tight_edges(mu, p)}
-    items.update(("zc", s) for s in range(mu.n) if p.col[s] == 0)
-    items.update(("zr", t) for t in range(mu.n) if p.row[t] == 0)
-    return frozenset(items)
+def _edge_bit(n: int, s: int, t: int) -> int:
+    """Bit of tight coupling (s, t) in a binding mask.  Masks number their
+    members as double description numbers constraints: zero column s is
+    bit s, zero row t bit n + t, coupling (s, t) bit 2n + 1 + s*n + t."""
+    return 1 << (2 * n + 1 + s * n + t)
 
 
-def _parts(n: int, b: FrozenSet) -> Tuple[EqualityGraph, FrozenSet[int], FrozenSet[int]]:
-    """The tight-coupling graph, zero columns and zero rows of a binding set."""
-    k = EqualityGraph(n, frozenset(x[1:] for x in b if x[0] == "e"))
-    zc = frozenset(x[1] for x in b if x[0] == "zc")
-    zr = frozenset(x[1] for x in b if x[0] == "zr")
-    return k, zc, zr
+def _binding(mu: DirectedDistance, p: ExtPoint) -> int:
+    """Zero coordinates and tight couplings of p as a bitmask."""
+    n, e = mu.n, mu.entries
+    b = 0
+    for s, x in enumerate(p.col):
+        if x == 0:
+            b |= 1 << s
+        for t, y in enumerate(p.row):
+            if x + y == e[s][t]:
+                b |= _edge_bit(n, s, t)
+    for t, y in enumerate(p.row):
+        if y == 0:
+            b |= 1 << (n + t)
+    return b
 
 
-def _is_minimal(n: int, b: FrozenSet) -> bool:
-    """Whether the points of P with binding set b lie in T: every column and
-    row that no tight coupling covers is a zero coordinate."""
-    k, zc, zr = _parts(n, b)
-    return k.isolated_cols() <= zc and k.isolated_rows() <= zr
-
-
-def _face(n: int, ids: Tuple[int, ...], b: FrozenSet) -> Face:
-    k, zc, zr = _parts(n, b)
-    free = k.free_components(zc, zr)
-    edges = tuple(sorted(k.edges))
-    return Face(ids, len(free), edges, tuple(sorted(zc)), tuple(sorted(zr)), tuple(free))
+def _face(n: int, ids: Tuple[int, ...], b: int) -> Face:
+    edges = tuple((s, t) for s in range(n) for t in range(n) if b & _edge_bit(n, s, t))
+    zc = tuple(s for s in range(n) if b >> s & 1)
+    zr = tuple(t for t in range(n) if b >> (n + t) & 1)
+    free = EqualityGraph(n, frozenset(edges)).free_components(zc, zr)
+    return Face(ids, len(free), edges, zc, zr, tuple(free))
 
 
 def enumerate_tight_span(mu: DirectedDistance) -> PolyComplex:
     """The directed tight span as a finite polyhedral complex."""
     if mu.n > ENUM_CAP:
         raise DomainError("GroundSetTooLarge", f"n={mu.n} exceeds enumeration cap {ENUM_CAP}")
+    n = mu.n
+    # per column and then per row, its zero bit with the bits of its couplings
+    needs = [1 << s | sum(_edge_bit(n, s, t) for t in range(n)) for s in range(n)]
+    needs += [1 << (n + t) | sum(_edge_bit(n, s, t) for s in range(n)) for t in range(n)]
+
+    def minimal(b: int) -> bool:
+        # every column and row that no tight coupling covers is a zero coordinate
+        return all(b & need for need in needs)
+
     vertices, bindings = [], []
     for p in polyhedron_vertices(mu):
         b = _binding(mu, p)
-        if _is_minimal(mu.n, b):
+        if minimal(b):
             vertices.append(p)
             bindings.append(b)
 
@@ -220,9 +236,9 @@ def enumerate_tight_span(mu: DirectedDistance) -> PolyComplex:
         frontier = nxt
 
     faces = [
-        _face(mu.n, tuple(i for i, vb in enumerate(bindings) if vb >= b), b)
+        _face(n, tuple(i for i, vb in enumerate(bindings) if vb & b == b), b)
         for b in candidates
-        if _is_minimal(mu.n, b)
+        if minimal(b)
     ]
     faces.sort(key=lambda f: (f.dim, f.vertex_ids))
     return PolyComplex("T", mu.labels, tuple(vertices), tuple(faces))

@@ -20,7 +20,10 @@ Main tools:
 - classify_membership: where a point sits relative to Pi, P, T, Q+;
 - canonical_points: the distance rows/columns of an element and the two
   one-sided minimal representatives, all landing in T when expected;
-- retract_ray and the two nonexpansive retractions (P onto T, T onto Q+);
+- retract_ray, and the two nonexpansive retractions (P onto T, T onto Q+)
+  as closed-form coordinate updates: each step's length is read off the
+  coordinates and the coupling slacks directly, and each result is
+  certified in T or Q+;
 - balance of point sets, balanced sections of Q over the tropical quotient,
   and the interval-based extension of a balanced set to further fibers;
 - geodesic_polyline: exact geodesics through pointwise retraction.
@@ -34,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, certify
 from .metrics import DirectedDistance, Element, GroundSet
 
 F0 = Fraction(0)
@@ -254,6 +257,10 @@ def classify_membership(mu: DirectedDistance, p: ExtPoint) -> Membership:
     coupling; minimality in Pi needs every coordinate covered.
     """
     _check_ground(mu, p)
+    return _membership(mu, p)
+
+
+def _membership(mu: DirectedDistance, p: ExtPoint) -> Membership:
     if not _in_pi(mu, p):
         return Membership.OUTSIDE
     k = EqualityGraph(mu.n, _tight_edges(mu, p))
@@ -270,8 +277,11 @@ def classify_membership(mu: DirectedDistance, p: ExtPoint) -> Membership:
     return Membership.PI_ONLY
 
 
+_IN_T = (Membership.T_NOT_QPLUS, Membership.QPLUS)
+
+
 def in_tight_span(mu: DirectedDistance, p: ExtPoint) -> bool:
-    return classify_membership(mu, p) in (Membership.T_NOT_QPLUS, Membership.QPLUS)
+    return classify_membership(mu, p) in _IN_T
 
 
 def in_qplus(mu: DirectedDistance, p: ExtPoint) -> bool:
@@ -361,33 +371,27 @@ def retract_ray(
     return p.add_scaled(v, eps)
 
 
-def _unit(ground: GroundSet, side: str, index: int, sign: int) -> ExtPoint:
-    n = ground.n
-    col = [F0] * n
-    row = [F0] * n
-    if side == "c":
-        col[index] = Fraction(sign)
-    else:
-        row[index] = Fraction(sign)
-    return ExtPoint(ground, tuple(col), tuple(row))
-
-
 def retract_to_tight_span(mu: DirectedDistance, p: ExtPoint) -> ExtPoint:
     """Nonexpansive retraction of P onto the tight span.
 
     For each element, last label first, drop the row coordinate as far as
     possible and then the column coordinate.  A coordinate stops at zero or
-    when a coupling becomes tight; tight couplings never loosen again, so a
+    when a coupling becomes tight, so row i drops to
+    max(0, max_s mu(s, i) - col[s]) and column i to
+    max(0, max_t mu(i, t) - row[t]); tight couplings never loosen again, so a
     single sweep lands in T.
     """
     _check_ground(mu, p)
     if not (_in_pi(mu, p) and _nonneg(p)):
         raise DomainError("NotInP", "retraction is defined on P")
-    g = mu.ground
-    for i in reversed(range(mu.n)):
-        p = retract_ray(mu, p, _unit(g, "r", i, -1))
-        p = retract_ray(mu, p, _unit(g, "c", i, -1))
-    return p
+    n, e = mu.n, mu.entries
+    col, row = list(p.col), list(p.row)
+    for i in reversed(range(n)):
+        row[i] = max(F0, max(e[s][i] - col[s] for s in range(n)))
+        col[i] = max(F0, max(e[i][t] - row[t] for t in range(n)))
+    out = ExtPoint(p.ground, tuple(col), tuple(row))
+    certify(_membership(mu, out) in _IN_T, "retraction left the tight span")
+    return out
 
 
 def _proper_subsets(n: int) -> List[Tuple[int, ...]]:
@@ -399,17 +403,30 @@ def _proper_subsets(n: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def _subset_direction(ground: GroundSet, subset: Tuple[int, ...], side: str) -> ExtPoint:
-    n = ground.n
-    inside = set(subset)
-    one = Fraction(1)
-    if side == "c":
-        col = tuple(one if s in inside else F0 for s in range(n))
-        row = tuple(Fraction(-1) for _ in range(n))
-    else:
-        col = tuple(Fraction(-1) for _ in range(n))
-        row = tuple(one if t in inside else F0 for t in range(n))
-    return ExtPoint(ground, col, row)
+def _subset_sweep(up: List[Fraction], down: List[Fraction], slack: List[Fraction]) -> None:
+    """Move along +1 on a subset of the up coordinates and -1 on every down
+    coordinate, for each subset in turn, as far as P allows.
+
+    slack[u] is the least slack of the couplings of up coordinate u.  A step
+    on A stops when a down coordinate reaches zero or a coupling of an up
+    coordinate outside A becomes tight; those slacks and the least down
+    coordinate fall by the step, the others stay.
+    """
+    low = min(down)
+    for a in _proper_subsets(len(up)):
+        if low == 0:
+            break
+        step = min([low] + [slack[u] for u in range(len(up)) if u not in a])
+        if step == 0:
+            continue
+        low -= step
+        for u in range(len(up)):
+            if u in a:
+                up[u] += step
+            else:
+                slack[u] -= step
+        for v in range(len(down)):
+            down[v] -= step
 
 
 def retract_to_qplus(mu: DirectedDistance, p: ExtPoint) -> ExtPoint:
@@ -417,17 +434,19 @@ def retract_to_qplus(mu: DirectedDistance, p: ExtPoint) -> ExtPoint:
 
     Sweeps the column directions (+1 on a subset of columns, -1 on all rows)
     over all nonempty proper subsets in inclusion-compatible order, then the
-    symmetric row directions.  Fixes Q+ pointwise.
+    symmetric row directions, each step as far as P allows.  Fixes Q+
+    pointwise.
     """
     _check_ground(mu, p)
     if not in_tight_span(mu, p):
         raise DomainError("NotInTightSpan", "retraction onto Q+ starts from the tight span")
-    subsets = _proper_subsets(mu.n)
-    for a in subsets:
-        p = retract_ray(mu, p, _subset_direction(mu.ground, a, "c"))
-    for a in subsets:
-        p = retract_ray(mu, p, _subset_direction(mu.ground, a, "r"))
-    return p
+    n, e = mu.n, mu.entries
+    col, row = list(p.col), list(p.row)
+    _subset_sweep(col, row, [min(col[s] + row[t] - e[s][t] for t in range(n)) for s in range(n)])
+    _subset_sweep(row, col, [min(col[s] + row[t] - e[s][t] for s in range(n)) for t in range(n)])
+    out = ExtPoint(p.ground, tuple(col), tuple(row))
+    certify(_membership(mu, out) is Membership.QPLUS, "retraction left Q+")
+    return out
 
 
 # -- balance and sections ----------------------------------------------------

@@ -18,6 +18,7 @@ smallest violating index tuples, so results are reproducible bit for bit.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -97,11 +98,17 @@ class DirectedDistance:
         )
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def as_fraction(x) -> Fraction:
     """The one rational parser: an int, a Fraction or a "p/q" string.
 
     Floats are rejected so no rounding can sneak in, and bools are rejected
-    so that ``True`` never reads as 1.  Everything else raises
+    so that ``True`` never reads as 1.  A string must be an optionally
+    negative integer, optionally over a nonzero natural denominator, with
+    nothing around it: decimals, exponents, underscores and spaces are
+    rejected before any arithmetic.  Everything else raises
     ``InputParseError`` too.
     """
     if isinstance(x, (bool, float)):
@@ -110,7 +117,7 @@ def as_fraction(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):

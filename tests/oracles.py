@@ -6,11 +6,15 @@ elimination, the metric-extension minimum from the full triangle LP,
 matching uniqueness from listing every matching, and the sextuple condition
 from all n**6 index tuples.  None of it touches the double-description,
 matching or dual-length code, so agreement between the two routes is
-meaningful evidence.  Three routes are the library's former
-implementations, kept as they were: ``zero_set_extreme_rays`` recomputes
-every zero set on every round, and ``witness_tight_span`` checks each
-candidate face at the average of its vertices; comparing the library with
-them checks its bookkeeping of zero and binding sets.
+meaningful evidence.  Several routes are the library's former
+implementations, kept as they were: ``zero_set_extreme_rays`` works in
+Fractions and recomputes every zero set on every round, and
+``witness_tight_span`` checks each candidate face at the average of its
+vertices; comparing the library with them checks its integer arithmetic
+and its bookkeeping of zero and binding sets as bitmasks.
+``sweep_retract_to_tight_span`` and ``sweep_retract_to_qplus`` move one
+``retract_ray`` step at a time; comparing them with the closed-form
+retractions checks every step length.
 ``recomputed_pricing_solve`` recomputes every reduced cost on every
 simplex iteration; comparing it with ``solve`` checks that the objective
 row kept in the tableau prices exactly as the recomputation does.  The
@@ -29,6 +33,7 @@ from dtspan import (
     DomainError,
     EqualityGraph,
     ExtPoint,
+    GroundSet,
     MatchingInstance,
     Membership,
     MetricExtension,
@@ -36,17 +41,20 @@ from dtspan import (
     distance_from_entries,
     equality_graph,
     evaluate_realization,
+    in_tight_span,
     is_unique_optimum,
     linear_program,
     max_matching,
     point,
     random_realization,
+    retract_ray,
     retract_to_qplus,
     retract_to_tight_span,
     solve,
     validate_distance,
 )
 from dtspan.errors import certify
+from dtspan.geometry import _check_ground, _in_pi, _nonneg
 from dtspan.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LPSolution, certificate_ok
 from dtspan.trees import KINDS
 
@@ -299,6 +307,78 @@ def witness_tight_span(mu: DirectedDistance):
         faces.append(_face_from_witness(mu, ids, witness))
     faces.sort(key=lambda f: (f[1], f[0]))
     return vertices, faces
+
+
+# -- retractions by ray steps ------------------------------------------------------
+
+
+def _unit(ground: GroundSet, side: str, index: int, sign: int) -> ExtPoint:
+    n = ground.n
+    col = [F0] * n
+    row = [F0] * n
+    if side == "c":
+        col[index] = Fraction(sign)
+    else:
+        row[index] = Fraction(sign)
+    return ExtPoint(ground, tuple(col), tuple(row))
+
+
+def sweep_retract_to_tight_span(mu: DirectedDistance, p: ExtPoint) -> ExtPoint:
+    """Nonexpansive retraction of P onto the tight span.
+
+    For each element, last label first, drop the row coordinate as far as
+    possible and then the column coordinate.  A coordinate stops at zero or
+    when a coupling becomes tight; tight couplings never loosen again, so a
+    single sweep lands in T.
+    """
+    _check_ground(mu, p)
+    if not (_in_pi(mu, p) and _nonneg(p)):
+        raise DomainError("NotInP", "retraction is defined on P")
+    g = mu.ground
+    for i in reversed(range(mu.n)):
+        p = retract_ray(mu, p, _unit(g, "r", i, -1))
+        p = retract_ray(mu, p, _unit(g, "c", i, -1))
+    return p
+
+
+def _proper_subsets(n: int) -> List[Tuple[int, ...]]:
+    """Nonempty proper subsets of range(n), by cardinality then lexicographic,
+    so that no subset precedes one of its supersets."""
+    out = []
+    for k in range(1, n):
+        out.extend(combinations(range(n), k))
+    return out
+
+
+def _subset_direction(ground: GroundSet, subset: Tuple[int, ...], side: str) -> ExtPoint:
+    n = ground.n
+    inside = set(subset)
+    one = Fraction(1)
+    if side == "c":
+        col = tuple(one if s in inside else F0 for s in range(n))
+        row = tuple(Fraction(-1) for _ in range(n))
+    else:
+        col = tuple(Fraction(-1) for _ in range(n))
+        row = tuple(one if t in inside else F0 for t in range(n))
+    return ExtPoint(ground, col, row)
+
+
+def sweep_retract_to_qplus(mu: DirectedDistance, p: ExtPoint) -> ExtPoint:
+    """Cyclically nonexpansive retraction of the tight span onto Q+.
+
+    Sweeps the column directions (+1 on a subset of columns, -1 on all rows)
+    over all nonempty proper subsets in inclusion-compatible order, then the
+    symmetric row directions.  Fixes Q+ pointwise.
+    """
+    _check_ground(mu, p)
+    if not in_tight_span(mu, p):
+        raise DomainError("NotInTightSpan", "retraction onto Q+ starts from the tight span")
+    subsets = _proper_subsets(mu.n)
+    for a in subsets:
+        p = retract_ray(mu, p, _subset_direction(mu.ground, a, "c"))
+    for a in subsets:
+        p = retract_ray(mu, p, _subset_direction(mu.ground, a, "r"))
+    return p
 
 
 # -- matchings and the tree condition --------------------------------------------

@@ -4,6 +4,7 @@ cross-check, and consistency between face data and the pointwise geometry."""
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -128,6 +129,29 @@ def test_faces_match_witness_route():
                 (f.vertex_ids, f.dim, f.edges, f.zero_cols, f.zero_rows, f.directions)
                 for f in t.faces
             ] == faces
+
+
+def test_integer_double_description_with_mixed_denominators():
+    # denominators 1..7 differing between entries, so the common scale of
+    # the integer route exceeds every single denominator on most draws
+    rng = random.Random(16)
+    wide = 0
+    for n, count in ((2, 12), (3, 12), (4, 6), (5, 2)):
+        for k in range(count):
+            mu = random_distance(rng, n, zeros=0.3 if k % 2 else 0.1, den=7)
+            dens = [x.denominator for row in mu.entries for x in row]
+            wide += lcm(*dens) > max(dens)
+            assert polyhedron_vertices(mu) == zero_set_polyhedron_vertices(mu)
+            if n > 4:
+                continue
+            t = enumerate_tight_span(mu)
+            vertices, faces = witness_tight_span(mu)
+            assert t.vertices == tuple(vertices)
+            assert [
+                (f.vertex_ids, f.dim, f.edges, f.zero_cols, f.zero_rows, f.directions)
+                for f in t.faces
+            ] == faces
+    assert wide >= 20
 
 
 def test_vertex_membership_classes():

@@ -26,6 +26,7 @@ from dtspan import (
     in_qplus,
     in_tight_span,
     is_balanced,
+    is_metric,
     norm_pair,
     point,
     retract_ray,
@@ -40,6 +41,8 @@ from oracles import (
     random_q_point,
     random_qplus_point,
     random_t_point,
+    sweep_retract_to_qplus,
+    sweep_retract_to_tight_span,
 )
 
 ALL_ONE = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
@@ -254,6 +257,36 @@ def test_retract_to_qplus_cyclically_nonexpansive():
         # fixes Q+ pointwise
         q = random_qplus_point(rng, mu)
         assert retract_to_qplus(mu, q).key() == q.key()
+
+
+def test_retractions_match_ray_sweeps():
+    # closed-form retractions equal the sweeps of single ray steps exactly,
+    # and points already in T or Q+ stay where they are
+    rng = random.Random(131)
+    metrics = moved_to_t = moved_to_q = 0
+    for k in range(300):
+        n = k % 6 + 1
+        kind = k // 6 % 3
+        if kind == 0:
+            mu = random_distance(rng, n, zeros=0.2, den=1)
+        elif kind == 1:
+            mu = random_distance(rng, n, zeros=0.2)
+        else:
+            mu = random_metric(rng, n, zeros=0.2)
+        metrics += is_metric(mu)
+        p = random_p_point(rng, mu)
+        t = retract_to_tight_span(mu, p)
+        assert t.key() == sweep_retract_to_tight_span(mu, p).key()
+        q = retract_to_qplus(mu, t)
+        assert q.key() == sweep_retract_to_qplus(mu, t).key()
+        moved_to_t += t.key() != p.key()
+        moved_to_q += q.key() != t.key()
+        for fixed in (t, q):
+            assert retract_to_tight_span(mu, fixed).key() == fixed.key()
+            assert sweep_retract_to_tight_span(mu, fixed).key() == fixed.key()
+        assert retract_to_qplus(mu, q).key() == q.key()
+    assert 100 <= metrics < 300
+    assert moved_to_t > 250 and moved_to_q > 30
 
 
 def test_retract_to_section_balance_lemma():

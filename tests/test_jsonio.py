@@ -45,7 +45,14 @@ def test_fraction_strings_are_canonical():
     assert fraction_to_str(Fraction(-3, 1)) == "-3"
     assert as_fraction("2/3") == Fraction(2, 3)
     assert as_fraction(5) == 5
-    for bad in (0.5, True, "abc", "1/0", None, [1]):
+    assert as_fraction("-7/14") == Fraction(-1, 2)
+    assert as_fraction("007") == 7
+    # only "p/q": no decimals, exponents, underscores or surrounding space;
+    # the huge exponent is rejected before any arithmetic
+    for bad in (
+        0.5, True, "abc", "1/0", None, [1],
+        "0.5", "1e3", "1_000", " 2 ", "2\n", "+1", "1/-2", "1/", "/2", "", "-", "1e999999999",
+    ):
         with pytest.raises(DomainError) as err:
             as_fraction(bad)
         assert err.value.code == "InputParseError"
