@@ -34,12 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
-from typing import List, Tuple
+from math import gcd
+from typing import List, Sequence, Tuple
 
 from .errors import DomainError, certify
 from .geometry import EqualityGraph, ExtPoint, dinf
-from .metrics import DirectedDistance
+from .metrics import DirectedDistance, scaled_entries
 
 ENUM_CAP = 5
 
@@ -50,7 +50,7 @@ ENUM_CAP = 5
 Ray = Tuple[List[int], int]
 
 
-def _extreme_rays(m: List[List[int]]) -> List[Ray]:
+def _extreme_rays(m: Sequence[Sequence[int]]) -> List[Ray]:
     """Extreme rays of {x >= 0, x_s + x_(n+t) >= m[s][t] x_2n} in R^(2n+1)
     by incremental double description over the integers.
 
@@ -106,8 +106,7 @@ def polyhedron_vertices(mu: DirectedDistance) -> List[ExtPoint]:
     is r[:2n] / (L * r[-1]).
     """
     n = mu.n
-    scale = lcm(*(x.denominator for row in mu.entries for x in row))
-    m = [[x.numerator * (scale // x.denominator) for x in row] for row in mu.entries]
+    scale, m = scaled_entries(mu)
     verts = []
     for r, _ in _extreme_rays(m):
         if r[-1] != 0:

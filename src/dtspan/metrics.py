@@ -14,6 +14,13 @@ plus the scalar-level machinery built on them:
 
 All witnesses returned by the condition checkers are the lexicographically
 smallest violating index tuples, so results are reproducible bit for bit.
+
+The triangle test and the three condition checkers only add and compare
+entries, never divide, so they run on the integer matrix L * mu from
+``scaled_entries`` (L the least common multiple of the denominators).
+Scaling by L > 0 keeps every comparison and every tie, so the verdicts and
+witnesses are those of the rational matrix.  ``complexes`` and ``rank``
+scale through the same helper.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
@@ -53,7 +61,12 @@ class GroundSet:
         return len(self.labels)
 
     def index_of(self, element: Element) -> int:
-        """Resolve a label or integer index to an index."""
+        """Resolve a label or integer index to an index.
+
+        Bools are neither, as in ``as_fraction``: ``True`` never reads as 1.
+        """
+        if isinstance(element, bool):
+            raise DomainError("UnknownElement", f"element {element!r} not in ground set")
         if isinstance(element, int):
             if not 0 <= element < self.n:
                 raise DomainError("IndexOutOfRange", f"index {element} out of range for n={self.n}")
@@ -158,9 +171,19 @@ def distance_from_entries(entries, labels=None) -> DirectedDistance:
     return validate_distance(entries, labels)
 
 
+def scaled_entries(mu: DirectedDistance) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """(L, L * mu): L is the least common multiple of the entries'
+    denominators, so every scaled entry is an integer."""
+    scale = lcm(*(x.denominator for row in mu.entries for x in row))
+    return scale, tuple(
+        tuple(x.numerator * (scale // x.denominator) for x in row) for row in mu.entries
+    )
+
+
 def is_metric(mu: DirectedDistance) -> bool:
     """All ordered triangle inequalities mu(x,y) + mu(y,z) >= mu(x,z)."""
-    n, e = mu.n, mu.entries
+    n = mu.n
+    _, e = scaled_entries(mu)
     for x in range(n):
         for y in range(n):
             for z in range(n):
@@ -204,12 +227,15 @@ def check_path_condition(mu: DirectedDistance) -> Tuple[bool, Optional[Tuple[int
         mu(s,u) + mu(t,v) <= max{mu(s,v) + mu(t,u), mu(s,u), mu(s,v), mu(t,u), mu(t,v)}
     Returns (True, None) or (False, first violating quadruple).
     """
-    e = mu.entries
-    for s, t, u, v in product(range(mu.n), repeat=4):
-        lhs = e[s][u] + e[t][v]
-        rhs = max(e[s][v] + e[t][u], e[s][u], e[s][v], e[t][u], e[t][v])
-        if lhs > rhs:
-            return False, (s, t, u, v)
+    n = mu.n
+    _, e = scaled_entries(mu)
+    for s, t, u in product(range(n), repeat=3):
+        es, et = e[s], e[t]
+        esu, etu = es[u], et[u]
+        for v in range(n):
+            esv, etv = es[v], et[v]
+            if esu + etv > max(esv + etu, esu, esv, etu, etv):
+                return False, (s, t, u, v)
     return True, None
 
 
@@ -230,7 +256,7 @@ def check_tree_condition(mu: DirectedDistance) -> Tuple[bool, Optional[Tuple[int
     violator overall lies in the first R, in ``combinations`` order, that
     has any.
     """
-    e = mu.entries
+    _, e = scaled_entries(mu)
     triples = list(combinations(range(mu.n), 3))
     for rows in triples:
         r0, r1, r2 = (e[r] for r in rows)
@@ -257,7 +283,8 @@ def check_directed_tree_metric(mu: DirectedDistance) -> bool:
     """
     if not is_metric(mu):
         raise DomainError("NotAMetric", "directed tree metrics are defined for metrics only")
-    n, e = mu.n, mu.entries
+    n = mu.n
+    _, e = scaled_entries(mu)
     sig = [[e[i][j] + e[j][i] for j in range(n)] for i in range(n)]
     for s, t, u, v in product(range(n), repeat=4):
         if sig[s][t] + sig[u][v] > max(sig[s][u] + sig[t][v], sig[s][v] + sig[t][u]):

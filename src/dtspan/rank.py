@@ -13,9 +13,14 @@ Since entries are nonnegative the two optimum values agree on every
 submatrix; only the uniqueness question differs, by ties with smaller
 matchings, i.e. zero-weight edges in the optimum.
 
-Optima come from an exact rational Hungarian algorithm; uniqueness is
-certified by searching the optimal dual's equality subgraph for an
-alternating cycle.
+Optima come from an exact Hungarian algorithm; uniqueness is certified by
+searching the optimal dual's equality subgraph for an alternating cycle.
+Neither step divides, so the search runs on the integer matrix L * mu
+(``metrics.scaled_entries``, L the least common multiple of the
+denominators): scaling by L > 0 keeps every comparison, every tie and
+every Hungarian step.  Minors are sliced straight out of those integer
+rows; a ``MatchingInstance`` is built only for the final witness, whose
+matching ``max_matching`` reads off mu itself.
 
 Both uniqueness notions are closed downward.  If a (k+1) x (k+1) minor has
 a unique optimum M of either kind, deleting one edge e of M with its row and
@@ -35,9 +40,7 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .metrics import DirectedDistance, Element
-
-F0 = Fraction(0)
+from .metrics import DirectedDistance, Element, scaled_entries
 
 
 @dataclass(frozen=True)
@@ -71,20 +74,22 @@ class MatchingInstance:
         return cls(rows, cols, w)
 
 
-def _hungarian_max(w: Sequence[Sequence[Fraction]]):
+def _hungarian_max(w: Sequence[Sequence]):
     """Maximum-weight perfect matching on a square matrix, exact.
 
     Returns (row_to_col, u, v) with feasible potentials u[i] + v[j] >= w[i][j]
-    tight on the matching, which certifies optimality.
+    tight on the matching, which certifies optimality.  Only additions,
+    subtractions and comparisons are used, so integer weights stay integers
+    and Fraction weights stay exact.
     """
     k = len(w)
     u = [max(row) for row in w]
-    v = [F0] * k
+    v = [0] * k
     row_to_col = [-1] * k
     col_to_row = [-1] * k
     for root in range(k):
-        in_tree_rows = {root}
-        in_tree_cols = set()
+        in_tree_rows = [root]
+        in_tree_cols = [False] * k
         # slack[j]: smallest reduced cost from a tree row to column j
         slack = [u[root] + v[j] - w[root][j] for j in range(k)]
         slack_row = [root] * k
@@ -92,7 +97,7 @@ def _hungarian_max(w: Sequence[Sequence[Fraction]]):
             delta = None
             jstar = -1
             for j in range(k):
-                if j in in_tree_cols:
+                if in_tree_cols[j]:
                     continue
                 if delta is None or slack[j] < delta:
                     delta = slack[j]
@@ -101,11 +106,11 @@ def _hungarian_max(w: Sequence[Sequence[Fraction]]):
                 for i in in_tree_rows:
                     u[i] -= delta
                 for j in range(k):
-                    if j in in_tree_cols:
+                    if in_tree_cols[j]:
                         v[j] += delta
                     else:
                         slack[j] -= delta
-            in_tree_cols.add(jstar)
+            in_tree_cols[jstar] = True
             if col_to_row[jstar] == -1:
                 # augment along the alternating path ending at jstar
                 j = jstar
@@ -117,9 +122,9 @@ def _hungarian_max(w: Sequence[Sequence[Fraction]]):
                         break
                 break
             i2 = col_to_row[jstar]
-            in_tree_rows.add(i2)
+            in_tree_rows.append(i2)
             for j in range(k):
-                if j not in in_tree_cols:
+                if not in_tree_cols[j]:
                     s2 = u[i2] + v[j] - w[i2][j]
                     if s2 < slack[j]:
                         slack[j] = s2
@@ -186,6 +191,17 @@ def max_matching(instance: MatchingInstance, mode: str = "MT"):
     return value, pairs
 
 
+def _unique(w: Sequence[Sequence], mode: str) -> bool:
+    """Whether the optimum of the given mode on the square matrix w is
+    attained exactly once (see ``is_unique_optimum``)."""
+    row_to_col, u, v = _hungarian_max(w)
+    k = len(w)
+    if mode == "MT" and any(w[i][row_to_col[i]] == 0 for i in range(k)):
+        return False
+    tight = [[u[i] + v[j] == w[i][j] for j in range(k)] for i in range(k)]
+    return not _has_alternating_cycle(tight, row_to_col)
+
+
 def is_unique_optimum(instance: MatchingInstance, mode: str = "MT") -> bool:
     """Whether the optimum of the given mode is attained exactly once.
 
@@ -195,40 +211,37 @@ def is_unique_optimum(instance: MatchingInstance, mode: str = "MT") -> bool:
     """
     if mode not in ("MT", "PMT"):
         raise DomainError("UsageError", f"unknown matching mode {mode!r}")
-    w = instance.weights
-    row_to_col, u, v = _hungarian_max(w)
-    k = instance.k
-    tight = [[u[i] + v[j] == w[i][j] for j in range(k)] for i in range(k)]
-    if _has_alternating_cycle(tight, row_to_col):
-        return False
-    if mode == "MT" and any(w[i][row_to_col[i]] == 0 for i in range(k)):
-        return False
-    return True
+    return _unique(instance.weights, mode)
 
 
-def _first_unique_minor(mu: DirectedDistance, k: int, mode: str) -> Optional[MatchingInstance]:
-    """The first k x k minor, in lexicographic (rows, cols) order, with a unique optimum."""
-    subsets = list(combinations(range(mu.n), k))
+def _first_unique_minor(
+    m: Sequence[Sequence[int]], k: int, mode: str
+) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """(rows, cols) of the first k x k minor of m, in lexicographic order,
+    with a unique optimum."""
+    subsets = list(combinations(range(len(m)), k))
     for a in subsets:
+        rows = [m[i] for i in a]
         for b in subsets:
-            inst = MatchingInstance.from_distance(mu, a, b)
-            if is_unique_optimum(inst, mode):
-                return inst
+            if _unique([[r[j] for j in b] for r in rows], mode):
+                return a, b
     return None
 
 
 def _search_unique(mu: DirectedDistance, mode: str):
     """Largest k with a unique k x k minor, bottom-up (see the module docstring)."""
+    _, m = scaled_entries(mu)
     found = None
     for k in range(1, mu.n + 1):
-        inst = _first_unique_minor(mu, k, mode)
-        if inst is None:
+        minor = _first_unique_minor(m, k, mode)
+        if minor is None:
             break
-        found = inst
+        found = minor
     if found is None:
         return 0, None
-    _, pairs = max_matching(found, mode="PMT")
-    return found.k, (found.rows, found.cols, tuple(pairs))
+    inst = MatchingInstance.from_distance(mu, *found)
+    _, pairs = max_matching(inst, mode="PMT")
+    return inst.k, (inst.rows, inst.cols, tuple(pairs))
 
 
 def dim_tight_span_witness(mu: DirectedDistance):

@@ -3,8 +3,9 @@
 Everything here trades time for obviousness: vertices come from solving
 every square constraint subsystem, affine rank from plain Gaussian
 elimination, the metric-extension minimum from the full triangle LP,
-matching uniqueness from listing every matching, and the sextuple condition
-from all n**6 index tuples.  None of it touches the double-description,
+matching uniqueness from listing every matching (also inside the top-down
+rank/dimension search), and the sextuple condition from all n**6 index
+tuples.  None of it touches the double-description,
 matching or dual-length code, so agreement between the two routes is
 meaningful evidence.  Several routes are the library's former
 implementations, kept as they were: ``zero_set_extreme_rays`` works in
@@ -17,10 +18,11 @@ and its bookkeeping of zero and binding sets as bitmasks.
 retractions checks every step length.
 ``recomputed_pricing_solve`` recomputes every reduced cost on every
 simplex iteration; comparing it with ``solve`` checks that the objective
-row kept in the tableau prices exactly as the recomputation does.  The
-one exception is ``search_unique_top_down``: it reuses the library's
-uniqueness test on purpose, so that comparing it with the bottom-up
-search checks the search order alone.
+row kept in the tableau prices exactly as the recomputation does.
+``fraction_is_metric``, ``fraction_path_condition`` and
+``fraction_directed_tree_metric`` are the library's former scans over the
+Fraction entries; comparing them with the scans over the integer matrix
+L * mu checks the scaling.
 """
 
 import random
@@ -42,9 +44,7 @@ from dtspan import (
     equality_graph,
     evaluate_realization,
     in_tight_span,
-    is_unique_optimum,
     linear_program,
-    max_matching,
     point,
     random_realization,
     retract_ray,
@@ -412,16 +412,72 @@ def brute_force_unique(instance: MatchingInstance, mode: str = "MT") -> bool:
 
 
 def search_unique_top_down(mu: DirectedDistance, mode: str):
-    """Largest k with a unique k x k minor, scanning k = n, n-1, ... down."""
+    """Largest k with a unique k x k minor, scanning k = n, n-1, ... down.
+
+    Uniqueness by listing every matching.  A unique optimum of either mode
+    is a perfect matching (with nonnegative weights, an unmatched row and
+    column could be matched at no loss), so the witness's matching is the
+    best permutation of the minor.
+    """
     n = mu.n
     for k in range(n, 0, -1):
         for a in combinations(range(n), k):
             for b in combinations(range(n), k):
                 inst = MatchingInstance.from_distance(mu, a, b)
-                if is_unique_optimum(inst, mode):
-                    _, pairs = max_matching(inst, mode="PMT")
-                    return k, (a, b, tuple(pairs))
+                if brute_force_unique(inst, mode):
+                    best = max(
+                        permutations(range(k)),
+                        key=lambda p: sum(inst.weights[i][p[i]] for i in range(k)),
+                    )
+                    return k, (a, b, tuple((a[i], b[best[i]]) for i in range(k)))
     return 0, None
+
+
+def fraction_is_metric(mu: DirectedDistance) -> bool:
+    """All ordered triangle inequalities mu(x,y) + mu(y,z) >= mu(x,z)."""
+    n, e = mu.n, mu.entries
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if e[x][y] + e[y][z] < e[x][z]:
+                    return False
+    return True
+
+
+def fraction_path_condition(mu: DirectedDistance) -> Tuple[bool, Optional[Tuple[int, int, int, int]]]:
+    """Quadruple condition equivalent to the tight span being at most a segment.
+
+    For every (s,t,u,v), with repeats allowed:
+        mu(s,u) + mu(t,v) <= max{mu(s,v) + mu(t,u), mu(s,u), mu(s,v), mu(t,u), mu(t,v)}
+    Returns (True, None) or (False, first violating quadruple).
+    """
+    e = mu.entries
+    for s, t, u, v in product(range(mu.n), repeat=4):
+        lhs = e[s][u] + e[t][v]
+        rhs = max(e[s][v] + e[t][u], e[s][u], e[s][v], e[t][u], e[t][v])
+        if lhs > rhs:
+            return False, (s, t, u, v)
+    return True, None
+
+
+def fraction_directed_tree_metric(mu: DirectedDistance) -> bool:
+    """Test whether a directed metric is a directed tree metric.
+
+    Two parts, both necessary and together sufficient:
+    (i)  the symmetrization mu + mu^T satisfies the four-point condition;
+    (ii) for every triple, both cyclic orders have the same total length.
+    """
+    if not fraction_is_metric(mu):
+        raise DomainError("NotAMetric", "directed tree metrics are defined for metrics only")
+    n, e = mu.n, mu.entries
+    sig = [[e[i][j] + e[j][i] for j in range(n)] for i in range(n)]
+    for s, t, u, v in product(range(n), repeat=4):
+        if sig[s][t] + sig[u][v] > max(sig[s][u] + sig[t][v], sig[s][v] + sig[t][u]):
+            return False
+    for x, y, z in product(range(n), repeat=3):
+        if e[x][y] + e[y][z] + e[z][x] != e[z][y] + e[y][x] + e[x][z]:
+            return False
+    return True
 
 
 def sextuple_scan(mu: DirectedDistance) -> Tuple[bool, Optional[Tuple[int, ...]]]:
@@ -479,13 +535,13 @@ def scan_cases(seed: int, count: int = 200):
             yield evaluate_realization(random_realization(shape, n, rng.randrange(10**6)))
 
 
-def random_metric(rng, n: int, top: int = 6, zeros: float = 0.0) -> DirectedDistance:
+def random_metric(rng, n: int, top: int = 6, zeros: float = 0.0, den: int = 3) -> DirectedDistance:
     """Shortest-path closure of a random distance, hence a directed metric."""
     e = [
         [
             F0
             if i == j or rng.random() < zeros
-            else Fraction(rng.randint(1, top), rng.randint(1, 3))
+            else Fraction(rng.randint(1, top), rng.randint(1, den))
             for j in range(n)
         ]
         for i in range(n)

@@ -3,23 +3,39 @@ condition checkers pinned against the matching-based criteria."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from dtspan import (
     DomainError,
+    MatchingInstance,
     check_directed_tree_metric,
     check_path_condition,
     check_tree_condition,
     congruence_witness,
     cycle_length,
     dim_tight_span,
+    dim_tight_span_witness,
     distance_from_entries,
+    evaluate_realization,
     is_metric,
+    random_realization,
     tropical_rank,
+    tropical_rank_witness,
     validate_distance,
 )
-from oracles import random_distance, random_metric, scan_cases, sextuple_scan
+from dtspan.trees import KINDS
+from oracles import (
+    fraction_directed_tree_metric,
+    fraction_is_metric,
+    fraction_path_condition,
+    random_distance,
+    random_metric,
+    scan_cases,
+    search_unique_top_down,
+    sextuple_scan,
+)
 
 ALL_ONE = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
@@ -29,6 +45,20 @@ def test_validate_accepts_rational_strings():
     assert mu.value("a", "b") == Fraction(1, 2)
     assert mu.value(1, 0) == Fraction(3, 2)
     assert mu.labels == ("a", "b")
+
+
+def test_bools_are_not_indices():
+    # as in the rational parser, True never reads as 1
+    mu = distance_from_entries([[0, 1], [2, 0]])
+    for call in (
+        lambda: mu.value(True, False),
+        lambda: mu.value(1, False),
+        lambda: MatchingInstance.from_distance(mu, (True,), (0,)),
+    ):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert err.value.code == "UnknownElement"
+    assert mu.value(1, 0) == 2
 
 
 def test_validate_default_labels():
@@ -207,3 +237,54 @@ def test_directed_tree_metric_rejects_nonmetric():
             distance_from_entries([[0, 1, 3], [9, 0, 1], [9, 9, 0]])
         )
     assert err.value.code == "NotAMetric"
+
+
+def _outcome(fn, mu):
+    try:
+        return fn(mu)
+    except DomainError as err:
+        return err.code
+
+
+def test_integer_scans_with_mixed_denominators():
+    # denominators 1..7 differing between entries, so the scale L of the
+    # integer route exceeds every single denominator on most draws; the
+    # scans and the rank search must agree exactly with the Fraction routes.
+    # n = 3..6 is drawn three times as often as n = 1, 2, where L is rarely
+    # wide.  Tree realizations (arc denominators 1..4, rarely wide) give the
+    # directed tree metrics; they stop at n = 5 because their rank 2 sends
+    # the top-down oracle through every minor.
+    rng = random.Random(808)
+    generic = [(kind, n) for n in range(1, 7) for kind in ("distance", "metric")]
+    generic += [(kind, n) for kind, n in generic if n >= 3] * 2
+    wide = 0
+    outcomes = set()
+    for kind, n in generic + [("tree", n) for n in range(2, 6)]:
+        if kind == "distance":
+            mu = random_distance(rng, n, zeros=0.3, den=7)
+        elif kind == "metric":
+            mu = random_metric(rng, n, zeros=0.2, den=7)
+        else:
+            mu = evaluate_realization(random_realization(rng.choice(KINDS), n, rng.randrange(10**6)))
+        dens = [x.denominator for row in mu.entries for x in row]
+        wide += lcm(*dens) > max(dens)
+        assert dim_tight_span_witness(mu) == search_unique_top_down(mu, "MT")
+        assert tropical_rank_witness(mu) == search_unique_top_down(mu, "PMT")
+        assert is_metric(mu) == fraction_is_metric(mu)
+        path = check_path_condition(mu)
+        assert path == fraction_path_condition(mu)
+        tree = check_tree_condition(mu)
+        assert tree == sextuple_scan(mu)
+        dtm = _outcome(check_directed_tree_metric, mu)
+        assert dtm == _outcome(fraction_directed_tree_metric, mu)
+        outcomes.update({("path", path[0]), ("tree", tree[0]), ("dtm", dtm)})
+    assert wide >= 20  # of 32
+    assert outcomes == {
+        ("path", True),
+        ("path", False),
+        ("tree", True),
+        ("tree", False),
+        ("dtm", True),
+        ("dtm", False),
+        ("dtm", "NotAMetric"),
+    }
