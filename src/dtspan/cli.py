@@ -51,12 +51,15 @@ COMPLEXES = {
 
 
 def _load(path: str):
+    """Parse a JSON file.  Bad UTF-8, bad JSON, an integer literal past
+    Python's digit limit and nesting past the recursion limit are all
+    ``ValueError`` or ``RecursionError``, and all ``InputParseError``."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise DomainError("InputParseError", f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DomainError("InputParseError", f"{path}: {exc}")
 
 

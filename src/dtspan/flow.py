@@ -165,7 +165,7 @@ def _path_lp(net: Network, mu: DirectedDistance) -> Tuple[Fraction, Multiflow, T
         ))
         rhs.append(Fraction(c))
     objective = tuple(mu.value(path[0], path[-1]) for path in paths)
-    sol = solve(linear_program(objective, rows, ["<="] * len(rows), rhs, maximize=True))
+    sol = solve(linear_program(objective, rows, rhs))
     certify(sol.status == "optimal", "path LP is feasible (zero flow) and capacity-bounded")
     kept = [(path, lam) for path, lam in zip(paths, sol.x) if lam > 0]
     flow = Multiflow(tuple(p for p, _ in kept), tuple(l for _, l in kept))

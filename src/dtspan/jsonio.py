@@ -3,12 +3,14 @@
 Every rational is written as str(Fraction): an integer string or "p/q" in
 lowest terms with positive denominator.  On input every rational goes through
 ``metrics.as_fraction``, which rejects floats and bools, so a round trip
-through JSON never loses exactness.
+through JSON never loses exactness.  A rational too long for ``str`` (past
+Python's int-to-string digit limit) is ``OutputWriteError``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
@@ -23,7 +25,15 @@ from .trees import OrientedTree, Realization, SplitTerm
 
 
 def fraction_to_str(x: Fraction) -> str:
-    return str(x)
+    """The canonical string; a numerator or denominator past Python's
+    int-to-string digit limit is ``OutputWriteError``."""
+    try:
+        return str(x)
+    except ValueError:
+        raise DomainError(
+            "OutputWriteError",
+            f"a rational has more than {sys.get_int_max_str_digits()} digits",
+        ) from None
 
 
 def _expect(obj, key, kind, where):
@@ -203,7 +213,7 @@ def skeleton_to_dot(skel: SkeletonGraph) -> str:
     for i in range(len(skel.vertices)):
         lines.append(f'  v{i} [label="v{i}"];')
     for i, j, w in skel.arcs:
-        lines.append(f'  v{i} -> v{j} [label="{w}"];')
+        lines.append(f'  v{i} -> v{j} [label="{fraction_to_str(w)}"];')
     lines.append("}")
     return "\n".join(lines)
 
@@ -220,7 +230,7 @@ def realization_to_dot(r: Realization) -> str:
         fill = colors[v][0] if colors[v] else "#dddddd"
         lines.append(f'  "{v}" [label="{label}", fillcolor="{fill}"];')
     for t, h, w in r.tree.arcs:
-        lines.append(f'  "{t}" -> "{h}" [label="{w}"];')
+        lines.append(f'  "{t}" -> "{h}" [label="{fraction_to_str(w)}"];')
     lines.append("}")
     return "\n".join(lines)
 

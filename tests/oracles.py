@@ -5,9 +5,9 @@ every square constraint subsystem, affine rank from plain Gaussian
 elimination, the metric-extension minimum from the full triangle LP,
 matching uniqueness from listing every matching (also inside the top-down
 rank/dimension search), and the sextuple condition from all n**6 index
-tuples.  None of it touches the double-description,
-matching or dual-length code, so agreement between the two routes is
-meaningful evidence.  Several routes are the library's former
+tuples.  None of it touches the double-description, matching, simplex or
+dual-length code, so agreement between the two routes is meaningful
+evidence.  Several routes are the library's former
 implementations, kept as they were: ``zero_set_extreme_rays`` works in
 Fractions and recomputes every zero set on every round, and
 ``witness_tight_span`` checks each candidate face at the average of its
@@ -16,9 +16,13 @@ and its bookkeeping of zero and binding sets as bitmasks.
 ``sweep_retract_to_tight_span`` and ``sweep_retract_to_qplus`` move one
 ``retract_ray`` step at a time; comparing them with the closed-form
 retractions checks every step length.
-``recomputed_pricing_solve`` recomputes every reduced cost on every
-simplex iteration; comparing it with ``solve`` checks that the objective
-row kept in the tableau prices exactly as the recomputation does.
+``recomputed_pricing_solve`` is the library's former general two-phase
+simplex (any row sense, any sign of right-hand side, max or min, over a
+``GeneralProgram``) and recomputes every reduced cost on every iteration.
+It solves the triangle LP, which therefore shares no code with the
+library's packing simplex, and comparing it with ``solve`` on packing
+programs checks that the all-slack start and the objective row kept in
+the tableau price exactly as the recomputation does.
 ``fraction_is_metric``, ``fraction_path_condition`` and
 ``fraction_directed_tree_metric`` are the library's former scans over the
 Fraction entries; comparing them with the scans over the integer matrix
@@ -26,6 +30,7 @@ L * mu checks the scaling.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -44,18 +49,16 @@ from dtspan import (
     equality_graph,
     evaluate_realization,
     in_tight_span,
-    linear_program,
     point,
     random_realization,
     retract_ray,
     retract_to_qplus,
     retract_to_tight_span,
-    solve,
     validate_distance,
 )
 from dtspan.errors import certify
 from dtspan.geometry import _check_ground, _in_pi, _nonneg
-from dtspan.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LPSolution, certificate_ok
+from dtspan.lp import OPTIMAL, UNBOUNDED, LPSolution
 from dtspan.trees import KINDS
 
 F0 = Fraction(0)
@@ -617,9 +620,9 @@ def triangle_metric_lp(net, mu: DirectedDistance) -> Tuple[Fraction, MetricExten
     """Minimize capacity-weighted length over metric extensions of mu directly.
 
     One variable per ordered vertex pair, one row per ordered triangle, and
-    equality rows pinning the terminal pairs to mu.  It shares only the
-    simplex with the library, which builds the minimum from the path LP's
-    duals instead.
+    equality rows pinning the terminal pairs to mu, solved by the two-phase
+    ``recomputed_pricing_solve``.  It shares no code with the library,
+    which builds the minimum from the path LP's duals instead.
     """
     verts = net.vertices
     pairs = [(x, y) for x in verts for y in verts if x != y]
@@ -653,8 +656,9 @@ def triangle_metric_lp(net, mu: DirectedDistance) -> Tuple[Fraction, MetricExten
             senses.append("==")
             rhs.append(mu.value(s, t))
 
-    sol = solve(linear_program(objective, rows, senses, rhs, maximize=False))
-    assert sol.status == "optimal", "shortest-path extension certifies feasibility"
+    lp = GeneralProgram(tuple(objective), tuple(rows), tuple(senses), tuple(rhs), maximize=False)
+    sol = recomputed_pricing_solve(lp)
+    certify(sol.status == OPTIMAL, "the shortest-path extension makes the triangle LP feasible")
     entries = [
         [sol.x[index[(x, y)]] if x != y else F0 for y in verts]
         for x in verts
@@ -663,11 +667,80 @@ def triangle_metric_lp(net, mu: DirectedDistance) -> Tuple[Fraction, MetricExten
     return sol.value, ext
 
 
-# -- the simplex with recomputed pricing -------------------------------------------
+# -- the two-phase simplex with recomputed pricing ---------------------------------
+
+SENSES = ("<=", ">=", "==")
+INFEASIBLE = "infeasible"
 
 
-def recomputed_pricing_solve(lp: LinearProgram) -> LPSolution:
-    """The library's former ``solve``: every reduced cost recomputed per iteration."""
+@dataclass(frozen=True)
+class GeneralProgram:
+    """Any sense per row, any sign of right-hand side, max or min."""
+
+    objective: Tuple[Fraction, ...]
+    rows: Tuple[Tuple[Fraction, ...], ...]
+    senses: Tuple[str, ...]
+    rhs: Tuple[Fraction, ...]
+    maximize: bool = True
+
+    def __post_init__(self):
+        n = len(self.objective)
+        if not (len(self.rows) == len(self.senses) == len(self.rhs)):
+            raise DomainError("MalformedLP", "row, sense, and rhs counts differ")
+        for i, row in enumerate(self.rows):
+            if len(row) != n:
+                raise DomainError("MalformedLP", f"row {i} has width {len(row)}, expected {n}")
+        for s in self.senses:
+            if s not in SENSES:
+                raise DomainError("MalformedLP", f"unknown sense {s!r}")
+
+    @property
+    def nvars(self) -> int:
+        return len(self.objective)
+
+
+def general_certificate_ok(lp: GeneralProgram, sol: LPSolution) -> bool:
+    """Full optimality certificate by direct substitution."""
+    if sol.status != OPTIMAL or sol.x is None or sol.duals is None:
+        return False
+    x, y = sol.x, sol.duals
+    if len(x) != lp.nvars or len(y) != len(lp.rows):
+        return False
+    if any(v < 0 for v in x):
+        return False
+    for row, sense, b in zip(lp.rows, lp.senses, lp.rhs):
+        lhs = sum((a * v for a, v in zip(row, x) if a and v), F0)
+        if sense == "<=" and lhs > b:
+            return False
+        if sense == ">=" and lhs < b:
+            return False
+        if sense == "==" and lhs != b:
+            return False
+    for yi, sense in zip(y, lp.senses):
+        if sense == "==":
+            continue
+        want_nonneg = (sense == "<=") == lp.maximize
+        if want_nonneg and yi < 0:
+            return False
+        if not want_nonneg and yi > 0:
+            return False
+    for j in range(lp.nvars):
+        pulled = sum((yi * row[j] for yi, row in zip(y, lp.rows) if yi and row[j]), F0)
+        if lp.maximize and pulled < lp.objective[j]:
+            return False
+        if not lp.maximize and pulled > lp.objective[j]:
+            return False
+    primal = sum((c * v for c, v in zip(lp.objective, x) if c and v), F0)
+    dual = sum((b * yi for b, yi in zip(lp.rhs, y) if b and yi), F0)
+    return primal == sol.value and primal == dual
+
+
+def recomputed_pricing_solve(lp: GeneralProgram) -> LPSolution:
+    """The library's former two-phase ``solve``: every reduced cost recomputed
+    per iteration.  Duals follow the library's sign conventions: for a
+    maximization A^T y >= c with y >= 0 on <= rows and y <= 0 on >= rows;
+    for a minimization A^T y <= c with the signs mirrored; equality rows
+    carry free duals.  Either way b . y equals the optimal objective."""
     intc = lp.objective if lp.maximize else tuple(-c for c in lp.objective)
     rows: List[Tuple[Fraction, ...]] = []
     senses: List[str] = []
@@ -795,6 +868,6 @@ def recomputed_pricing_solve(lp: LinearProgram) -> LPSolution:
         value_int if lp.maximize else -value_int,
         final_duals,
     )
-    certify(certificate_ok(lp, sol), "simplex returned an uncertified optimum")
+    certify(general_certificate_ok(lp, sol), "simplex returned an uncertified optimum")
     return sol
 

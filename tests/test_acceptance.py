@@ -290,13 +290,11 @@ def test_criterion_9_lp_self_certification():
         rhs = [Fraction(rng.randint(0, 6)) for _ in range(m)]
         rows.append([Fraction(1)] * n)
         rhs.append(Fraction(15))
-        lp = linear_program(
-            [Fraction(rng.randint(-3, 4)) for _ in range(n)],
-            rows,
-            ["<="] * len(rows),
-            rhs,
-            maximize=bool(rng.getrandbits(1)),
-        )
+        objective = [Fraction(rng.randint(-3, 4)) for _ in range(n)]
+        # minimizing c . x is maximizing -c . x
+        if not rng.getrandbits(1):
+            objective = [-c for c in objective]
+        lp = linear_program(objective, rows, rhs)
         sol = solve(lp)
         if sol.status == "optimal":
             optimal_seen += 1

@@ -1,6 +1,7 @@
 """Command-line driver: exit codes, JSON output shapes, determinism, and the
 file-writing options.  Everything goes through main(argv) on temp files."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -267,6 +268,56 @@ def test_missing_file_is_parse_error(capsys):
     code, out = run(capsys, ["validate", "/nonexistent/m.json"])
     assert code == 1
     assert out["error"]["code"] == "InputParseError"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"matrix": [["0"]], "labels": ["\xff"]}',  # not UTF-8
+        b'{"matrix": [[' + b"1" * 5000 + b"]]}",  # past Python's int digit limit
+        b"[" * 100000,  # nested past the recursion limit
+    ],
+    ids=["bad-utf8", "long-int", "deep-nesting"],
+)
+def test_undecodable_input_is_parse_error(tmp_path, capsys, content):
+    path = tmp_path / "m.json"
+    path.write_bytes(content)
+    code, out = run(capsys, ["validate", str(path)])
+    assert code == 1
+    assert out["error"]["code"] == "InputParseError"
+
+
+def _positionals(parser, path):
+    """An argv tail filling every positional: the first choice, else ``path``."""
+    return [
+        a.choices[0] if a.choices else path
+        for a in parser._actions
+        if not a.option_strings
+    ]
+
+
+def test_every_subcommand_reports_bad_utf8_as_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"x": "\xff"}')
+    (subparsers,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(subparsers.choices) >= 10
+    for name, parser in subparsers.choices.items():
+        code, out = run(capsys, [name, *_positionals(parser, str(path))])
+        assert (name, code, out["error"]["code"]) == (name, 1, "InputParseError")
+
+
+def test_result_past_the_digit_limit_is_write_error(files, capsys):
+    # the retraction's exact coordinates outgrow str(int)'s digit limit
+    _, write = files
+    mu = {
+        "labels": ["x", "y"],
+        "matrix": [["0", f"1/{10**3000 + 7}"], [f"1/{10**3000 + 9}", "0"]],
+    }
+    small = f"1/{10**3002 + 11}"
+    p = {"col": {"x": small, "y": small}, "row": {"x": "1", "y": "1"}}
+    code, out = run(capsys, ["retract", write("m.json", mu), write("p.json", p)])
+    assert code == 1
+    assert out["error"]["code"] == "OutputWriteError"
 
 
 def test_unwritable_output_is_write_error(files, capsys):

@@ -13,6 +13,7 @@ from dtspan import (
     evaluate_realization,
     network,
     point,
+    realize_path,
     skeleton_graph,
     split_decomposition,
 )
@@ -160,6 +161,22 @@ def test_realization_to_dot_smoke():
     assert dot.startswith("digraph")
     for v in r.tree.vertices:
         assert v in dot
+
+
+def test_rational_past_the_digit_limit_is_output_write_error():
+    # str(int) refuses more than sys.get_int_max_str_digits() digits
+    big = 10**5000 + 1
+    mu = distance_from_entries([[0, big, big], [big, 0, big], [big, big, 0]])
+    one_way = distance_from_entries([[0, big], [0, 0]], ("a", "b"))
+    for write in (
+        lambda: fraction_to_str(Fraction(1, big)),
+        lambda: dumps({"value": Fraction(big)}),
+        lambda: skeleton_to_dot(skeleton_graph(enumerate_section(mu))),
+        lambda: realization_to_dot(realize_path(one_way)),
+    ):
+        with pytest.raises(DomainError) as err:
+            write()
+        assert err.value.code == "OutputWriteError"
 
 
 def test_dumps_deterministic_and_exact():

@@ -1,6 +1,7 @@
-"""Exact simplex: frozen solves, certificate verification, a brute-force
-basic-point oracle on random bounded programs, and the former simplex with
-recomputed pricing on random programs of every status."""
+"""Exact packing simplex: frozen solves, certificate verification, a
+brute-force basic-point oracle on random bounded programs, and the former
+two-phase simplex with recomputed pricing on random programs of both
+statuses."""
 
 import random
 from fractions import Fraction
@@ -9,71 +10,29 @@ from itertools import combinations
 import pytest
 
 from dtspan import DomainError, certificate_ok, linear_program, solve
-from dtspan.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
-from oracles import recomputed_pricing_solve, solve_square
+from dtspan.lp import OPTIMAL, UNBOUNDED
+from oracles import GeneralProgram, recomputed_pricing_solve, solve_square
 
 F0 = Fraction(0)
 F1 = Fraction(1)
 
 
 def test_single_variable_max():
-    lp = linear_program([F1], [[F1]], ["<="], [Fraction(3)])
+    lp = linear_program([F1], [[F1]], [Fraction(3)])
     sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol.x == (Fraction(3),) and sol.value == 3
     assert sol.duals == (F1,)
     assert certificate_ok(lp, sol)
     # with no variables the objective is still the Fraction 0, not the int 0
-    empty = solve(linear_program([], [], [], []))
+    empty = solve(linear_program([], [], []))
     assert empty.status == OPTIMAL and empty.value == 0
     assert type(empty.value) is Fraction
 
 
-def test_single_variable_min():
-    lp = linear_program([F1], [[F1]], [">="], [Fraction(3)], maximize=False)
-    sol = solve(lp)
-    assert sol.status == OPTIMAL
-    assert sol.x == (Fraction(3),) and sol.value == 3
-    assert sol.duals == (F1,)
-    assert certificate_ok(lp, sol)
-
-
-def test_infeasible():
-    lp = linear_program([F1], [[F1], [F1]], ["<=", ">="], [F1, Fraction(2)])
-    assert solve(lp).status == INFEASIBLE
-
-
 def test_unbounded():
-    lp = linear_program([F1], [[F0]], ["<="], [F1])
+    lp = linear_program([F1], [[F0]], [F1])
     assert solve(lp).status == UNBOUNDED
-
-
-def test_equality_row():
-    lp = linear_program(
-        [F1, F0],
-        [[F1, F1], [F1, -F1]],
-        ["==", "<="],
-        [Fraction(4), F0],
-        maximize=True,
-    )
-    sol = solve(lp)
-    assert sol.status == OPTIMAL and sol.value == 2
-    assert certificate_ok(lp, sol)
-
-
-def test_upper_bounds_kwarg():
-    lp = linear_program(
-        [F1, F1],
-        [[F1, F1]],
-        ["<="],
-        [Fraction(10)],
-        upper=[Fraction(2), Fraction(3)],
-    )
-    sol = solve(lp)
-    assert sol.status == OPTIMAL and sol.value == 5
-    with pytest.raises(DomainError) as err:
-        linear_program([F1, F1], [], [], [], upper=[F1])
-    assert err.value.code == "MalformedLP"
 
 
 def test_no_cycling_on_degenerate_program():
@@ -85,7 +44,6 @@ def test_no_cycling_on_degenerate_program():
             [Fraction(1, 2), Fraction(-90), Fraction(-1, 50), Fraction(3)],
             [F0, F0, F1, F0],
         ],
-        ["<=", "<=", "<="],
         [F0, F0, F1],
     )
     sol = solve(lp)
@@ -95,15 +53,14 @@ def test_no_cycling_on_degenerate_program():
 
 
 def test_malformed_programs():
-    with pytest.raises(DomainError) as err:
-        linear_program([F1], [[F1]], ["<="], [F1, F1])
-    assert err.value.code == "MalformedLP"
-    with pytest.raises(DomainError) as err:
-        linear_program([F1], [[F1, F1]], ["<="], [F1])
-    assert err.value.code == "MalformedLP"
-    with pytest.raises(DomainError) as err:
-        linear_program([F1], [[F1]], ["=<"], [F1])
-    assert err.value.code == "MalformedLP"
+    for rows, rhs in (
+        ([[F1]], [F1, F1]),  # more right-hand sides than rows
+        ([[F1, F1]], [F1]),  # a ragged row
+        ([[F1]], [-F1]),  # a negative right-hand side: the origin is infeasible
+    ):
+        with pytest.raises(DomainError) as err:
+            linear_program([F1], rows, rhs)
+        assert err.value.code == "MalformedLP"
 
 
 def _brute_force_optimum(lp):
@@ -151,7 +108,7 @@ def test_random_bounded_instances_against_enumeration():
         rows.append([F1] * n)
         rhs.append(Fraction(12))
         objective = [Fraction(rng.randint(-3, 4)) for _ in range(n)]
-        lp = linear_program(objective, rows, ["<="] * len(rows), rhs)
+        lp = linear_program(objective, rows, rhs)
         sol = solve(lp)
         assert sol.status == OPTIMAL  # origin is feasible, box bounds it
         assert certificate_ok(lp, sol)
@@ -159,39 +116,39 @@ def test_random_bounded_instances_against_enumeration():
 
 
 def test_certificate_rejects_wrong_duals():
-    lp = linear_program([F1], [[F1]], ["<="], [Fraction(3)])
+    lp = linear_program([F1], [[F1]], [Fraction(3)])
     sol = solve(lp)
     forged = sol.__class__(OPTIMAL, sol.x, sol.value, (Fraction(2),))
     assert not certificate_ok(lp, forged)
     forged2 = sol.__class__(OPTIMAL, sol.x, Fraction(4), sol.duals)
     assert not certificate_ok(lp, forged2)
+    # a negative multiplier can balance b . y but proves no upper bound
+    lp2 = linear_program([F1, F0], [[F1, F0], [F0, F1]], [Fraction(3), F1])
+    sol2 = solve(lp2)
+    assert sol2.duals == (F1, F0)
+    forged3 = sol2.__class__(OPTIMAL, sol2.x, sol2.value, (Fraction(2), -Fraction(3)))
+    assert not certificate_ok(lp2, forged3)
 
 
 def _random_program(rng):
-    """Mixed senses, negative right-hand sides, and sometimes a redundant
-    equality copy of a row, which phase 1 leaves with a basic artificial
-    and deletes."""
+    """A packing program with n, m in 0..4: A of any sign, b >= 0 with many
+    zeros, so that pivots are often degenerate."""
     n = rng.randint(0, 4)
     m = rng.randint(0, 4)
     rows = [[Fraction(rng.randint(-2, 3)) for _ in range(n)] for _ in range(m)]
-    senses = [rng.choice(("<=", ">=", "==")) for _ in range(m)]
-    rhs = [Fraction(rng.randint(-3, 5), rng.randint(1, 2)) for _ in range(m)]
-    if m and rng.random() < 0.3:
-        i = rng.randrange(m)
-        senses[i] = "=="
-        rows.append(list(rows[i]))
-        senses.append("==")
-        rhs.append(rhs[i])
+    rhs = [Fraction(max(0, rng.randint(-3, 5)), rng.randint(1, 2)) for _ in range(m)]
     objective = [Fraction(rng.randint(-3, 4)) for _ in range(n)]
-    return linear_program(objective, rows, senses, rhs, maximize=rng.random() < 0.5)
+    return linear_program(objective, rows, rhs)
 
 
 def test_solve_matches_recomputed_pricing():
     rng = random.Random(211)
     seen = set()
+    degenerate = 0
     for _ in range(400):
         lp = _random_program(rng)
-        got, want = solve(lp), recomputed_pricing_solve(lp)
+        general = GeneralProgram(lp.objective, lp.rows, ("<=",) * len(lp.rows), lp.rhs)
+        got, want = solve(lp), recomputed_pricing_solve(general)
         assert (got.status, got.x, got.value, got.duals) == (
             want.status,
             want.x,
@@ -199,4 +156,6 @@ def test_solve_matches_recomputed_pricing():
             want.duals,
         )
         seen.add(got.status)
-    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+        degenerate += F0 in lp.rhs and lp.nvars > 0
+    assert seen == {OPTIMAL, UNBOUNDED}
+    assert degenerate >= 100
