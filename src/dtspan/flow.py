@@ -33,10 +33,11 @@ from .geometry import (
     retract_to_section,
     retract_to_tight_span,
 )
-from .lp import linear_program, solve
+from .lp import LinearProgram, solve
 from .metrics import DirectedDistance, cycle_length, distance_from_entries, is_metric
 
 F0 = Fraction(0)
+F1 = Fraction(1)
 
 PATH_ENUM_CAP = 10
 
@@ -125,22 +126,20 @@ def enumerate_s_paths(net: Network) -> List[Tuple[str, ...]]:
         out[v].sort()
     terminals = set(net.terminals)
     paths: List[Tuple[str, ...]] = []
-
-    def walk(prefix: List[str], used: set) -> None:
-        here = prefix[-1]
-        for nxt in out[here]:
-            if nxt in used:
-                continue
-            if nxt in terminals and nxt != prefix[0]:
-                paths.append(tuple(prefix) + (nxt,))
-            prefix.append(nxt)
-            used.add(nxt)
-            walk(prefix, used)
-            used.discard(nxt)
-            prefix.pop()
-
-    for s in sorted(terminals):
-        walk([s], {s})
+    # depth first over simple prefixes; an explicit stack rather than a
+    # recursive closure, which would be a reference cycle holding every path
+    # until the next full garbage collection
+    for s in terminals:
+        stack = [(s,)]
+        while stack:
+            prefix = stack.pop()
+            for nxt in out[prefix[-1]]:
+                if nxt in prefix:
+                    continue
+                path = prefix + (nxt,)
+                if nxt in terminals and nxt != s:
+                    paths.append(path)
+                stack.append(path)
     paths.sort()
     return paths
 
@@ -156,19 +155,20 @@ def _path_lp(net: Network, mu: DirectedDistance) -> Tuple[Fraction, Multiflow, T
     paths = enumerate_s_paths(net)
     if not paths:
         return F0, Multiflow((), ()), (F0,) * len(net.edges)
-    rows = []
-    rhs = []
-    for tail, head, c in net.edges:
-        rows.append(tuple(
-            Fraction(1) if (tail, head) in zip(path, path[1:]) else F0
-            for path in paths
-        ))
-        rhs.append(Fraction(c))
-    objective = tuple(mu.value(path[0], path[-1]) for path in paths)
-    sol = solve(linear_program(objective, rows, rhs))
+    # one row per edge, one column per path: 1 where the path steps along the edge
+    row_of = {(tail, head): i for i, (tail, head, _) in enumerate(net.edges)}
+    rows = [[F0] * len(paths) for _ in net.edges]
+    for j, path in enumerate(paths):
+        for step in zip(path, path[1:]):
+            rows[row_of[step]][j] = F1
+    # tuples from lists, not from generators: CPython grows the latter by
+    # resizing, which over many solves parks memory in its tuple free lists
+    objective = tuple([mu.value(path[0], path[-1]) for path in paths])
+    rhs = tuple([Fraction(c) for _, _, c in net.edges])
+    sol = solve(LinearProgram(objective, tuple([tuple(row) for row in rows]), rhs))
     certify(sol.status == "optimal", "path LP is feasible (zero flow) and capacity-bounded")
     kept = [(path, lam) for path, lam in zip(paths, sol.x) if lam > 0]
-    flow = Multiflow(tuple(p for p, _ in kept), tuple(l for _, l in kept))
+    flow = Multiflow(tuple([p for p, _ in kept]), tuple([l for _, l in kept]))
     certify(flow.respects_capacities(net), "path LP flow exceeds a capacity")
     return sol.value, flow, sol.duals
 

@@ -20,7 +20,7 @@ entries, never divide, so they run on the integer matrix L * mu from
 ``scaled_entries`` (L the least common multiple of the denominators).
 Scaling by L > 0 keeps every comparison and every tie, so the verdicts and
 witnesses are those of the rational matrix.  ``complexes`` and ``rank``
-scale through the same helper.
+scale through the same helper, and it and ``lp`` through ``lcm_scaled``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import lcm
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
 
@@ -134,8 +134,15 @@ def as_fraction(x) -> Fraction:
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
-            raise DomainError("InputParseError", f"not a rational: {x!r}") from None
-    raise DomainError("InputParseError", f"not a rational: {x!r}")
+            raise DomainError("InputParseError", f"not a rational: {_shown(x)}") from None
+    raise DomainError("InputParseError", f"not a rational: {_shown(x)}")
+
+
+def _shown(x) -> str:
+    """repr(x), cut to its first 40 characters plus its length when longer,
+    so that an error message never echoes a huge input whole."""
+    r = repr(x)
+    return r if len(r) <= 40 else f"{r[:40]}... ({len(r)} characters)"
 
 
 def validate_distance(matrix: Sequence[Sequence], labels: Optional[Sequence[str]] = None) -> DirectedDistance:
@@ -171,13 +178,21 @@ def distance_from_entries(entries, labels=None) -> DirectedDistance:
     return validate_distance(entries, labels)
 
 
+def lcm_scaled(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """(L, L * values): L is the least common multiple of the values'
+    denominators, so every scaled value is an integer.  The one scaler of
+    the integer routes in ``metrics``, ``complexes``, ``rank`` and ``lp``."""
+    scale = lcm(*[x.denominator for x in values])
+    if scale == 1:
+        return 1, [x.numerator for x in values]
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
 def scaled_entries(mu: DirectedDistance) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """(L, L * mu): L is the least common multiple of the entries'
-    denominators, so every scaled entry is an integer."""
-    scale = lcm(*(x.denominator for row in mu.entries for x in row))
-    return scale, tuple(
-        tuple(x.numerator * (scale // x.denominator) for x in row) for row in mu.entries
-    )
+    """(L, L * mu) row by row, with one L for the whole matrix."""
+    n = mu.n
+    scale, flat = lcm_scaled([x for row in mu.entries for x in row])
+    return scale, tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
 
 
 def is_metric(mu: DirectedDistance) -> bool:

@@ -2,7 +2,9 @@
 file-writing options.  Everything goes through main(argv) on temp files."""
 
 import argparse
+import hashlib
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,8 @@ import pytest
 
 import dtspan
 from dtspan.cli import _parser, main
+from dtspan.jsonio import distance_to_json, network_to_json
+from oracles import random_eulerian_network, random_metric, random_network
 
 ALL_ONE = {
     "labels": ["x0", "x1", "x2"],
@@ -287,6 +291,17 @@ def test_undecodable_input_is_parse_error(tmp_path, capsys, content):
     assert out["error"]["code"] == "InputParseError"
 
 
+def test_huge_entry_gives_a_short_parse_error(files, capsys):
+    # the message quotes a bounded prefix of the bad entry, not all of it
+    _, write = files
+    huge = {"labels": ["a", "b"], "matrix": [["0", "9" * 5000], ["1", "0"]]}
+    code = main(["validate", write("m.json", huge)])
+    printed = capsys.readouterr().out
+    assert code == 1
+    assert json.loads(printed)["error"]["code"] == "InputParseError"
+    assert len(printed.encode()) < 300
+
+
 def _positionals(parser, path):
     """An argv tail filling every positional: the first choice, else ``path``."""
     return [
@@ -369,3 +384,49 @@ def test_uncertified_lp_is_json_error_under_optimize(files):
     *error, status = out.stdout.strip().splitlines()
     assert json.loads("\n".join(error))["error"]["code"] == "InternalCertificate"
     assert status.split() == ["1", "1"]
+
+
+def _pinned_flow_runs():
+    """(name, argv tail, network, distance) for the stdout pin: seeded 4-5
+    vertex networks with rational terminal metrics, Eulerian ones for mode Q."""
+    rng = random.Random(523)
+    runs = []
+    for k in range(3):
+        net = random_network(rng, rng.randint(4, 5), 3)
+        m = random_metric(rng, 3, zeros=0.2)
+        mu = dtspan.distance_from_entries(m.entries, net.terminals)
+        runs.append((f"max{k}", ["max"], net, mu))
+        runs.append((f"verifyT{k}", ["verify", "--mode", "T"], net, mu))
+    for k in range(2):
+        net = random_eulerian_network(rng, 4, 2, ncycles=4)
+        m = random_metric(rng, 2)
+        mu = dtspan.distance_from_entries(m.entries, net.terminals)
+        runs.append((f"verifyQ{k}", ["verify", "--mode", "Q"], net, mu))
+    return runs
+
+
+# SHA-256 of the stdout of each pinned run.  A change that moves one of
+# these changes the answers the CLI gives, and must say so.
+FLOW_STDOUT_SHA256 = {
+    "max0": "dcedd06ed8b4bf7a7b8381504276b12e9edf6a9d97594c88a3951e8bad923840",
+    "verifyT0": "dab2a06082356b425daad1cb6b48867b9e3d20c588d4b715b1e046198d1fa90f",
+    "max1": "376289d709ae75ad071da4be155276748bcf0305ec57556f0adbea6bf5435401",
+    "verifyT1": "0d0b194f35868fecab284d6ee4c09d2f30180976ac977ce4ebb81c4394098ab3",
+    "max2": "758264cfa37d2c68b32dcfe116ed212a03c0f88192580fdd313f6d2642982d48",
+    "verifyT2": "73facfdecb739e95b09e0a6f63caf25471150521075709d40e3118331647d105",
+    "verifyQ0": "14d0f3859034b72d624d0dd9cfd1d539791921d341fefce04140d58072074371",
+    "verifyQ1": "28072bc81ec180ad7761745db28f94763a600dbe721765dc128e1c5d5c7fcd2f",
+}
+
+
+def test_flow_stdout_is_pinned(files, capsys):
+    _, write = files
+    got = {}
+    for name, argv, net, mu in _pinned_flow_runs():
+        npath = write(f"{name}-net.json", network_to_json(net))
+        mpath = write(f"{name}-mu.json", distance_to_json(mu))
+        code = main(["flow", argv[0], npath, mpath, *argv[1:]])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        got[name] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == FLOW_STDOUT_SHA256

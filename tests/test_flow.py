@@ -21,6 +21,7 @@ from dtspan import (
     dual_metric_lp,
     enumerate_s_paths,
     eulerian_decompose,
+    flow,
     is_cyclically_tight_extension,
     is_eulerian,
     is_tight_extension,
@@ -31,15 +32,18 @@ from dtspan import (
     verify_minmax,
 )
 from oracles import (
+    GeneralProgram,
     random_distance,
     random_eulerian_network,
     random_metric,
     random_network,
     random_t_point,
+    recomputed_pricing_solve,
     triangle_metric_lp,
 )
 
 F0 = Fraction(0)
+F1 = Fraction(1)
 ONE_WAY = [[0, 1], [0, 0]]
 
 
@@ -162,6 +166,44 @@ def test_dual_lengths_match_triangle_lp():
         assert oracle_val == min_val == max_val
         assert isinstance(ext, MetricExtension)
         assert network_objective(net, ext.d) == min_val
+
+
+def test_path_lp_matches_recomputed_pricing(monkeypatch):
+    # The path LP of 5-7 vertex networks, solved by the integer simplex, must
+    # equal the Fraction two-phase oracle exactly, and its rows must be the
+    # edge/path incidence matrix built from the steps of each path.
+    programs = []
+    real_solve = flow.solve
+
+    def recording(lp):
+        sol = real_solve(lp)
+        programs.append((lp, sol))
+        return sol
+
+    monkeypatch.setattr(flow, "solve", recording)
+    rng = random.Random(83)
+    compared = fractional = 0
+    for _ in range(10):
+        net = random_network(rng, rng.randint(5, 7), 3)
+        mu = _metric_on(rng, net.terminals, zeros=0.2)
+        value, mflow, duals = flow._path_lp(net, mu)
+        if not programs:
+            continue
+        lp, sol = programs.pop()
+        paths = enumerate_s_paths(net)
+        assert lp.rows == tuple(
+            tuple(F1 if (t, h) in zip(p, p[1:]) else F0 for p in paths) for t, h, _ in net.edges
+        )
+        assert lp.rhs == tuple(Fraction(c) for _, _, c in net.edges)
+        want = recomputed_pricing_solve(
+            GeneralProgram(lp.objective, lp.rows, ("<=",) * len(lp.rows), lp.rhs)
+        )
+        assert (sol.x, sol.value, sol.duals) == (want.x, want.value, want.duals)
+        assert (value, duals) == (want.value, want.duals)
+        assert mflow.values == tuple(v for v in want.x if v > 0)
+        compared += 1
+        fractional += any(v.denominator > 1 for v in want.x + want.duals)
+    assert compared >= 8 and fractional >= 3
 
 
 # Scale every dual the path LP returns.  Halved lengths fall short of mu on

@@ -6,12 +6,18 @@ statuses."""
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
 from dtspan import DomainError, certificate_ok, linear_program, solve
-from dtspan.lp import OPTIMAL, UNBOUNDED
-from oracles import GeneralProgram, recomputed_pricing_solve, solve_square
+from dtspan.lp import OPTIMAL, UNBOUNDED, LPSolution
+from oracles import (
+    GeneralProgram,
+    general_certificate_ok,
+    recomputed_pricing_solve,
+    solve_square,
+)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -141,21 +147,98 @@ def _random_program(rng):
     return linear_program(objective, rows, rhs)
 
 
+def _fractional_program(rng):
+    """A packing program whose rows each have their own denominators, so
+    that every tableau row starts with its own scale."""
+    n = rng.randint(1, 5)
+    m = rng.randint(1, 5)
+    rows = []
+    for _ in range(m):
+        den = rng.randint(1, 6)
+        rows.append([Fraction(rng.randint(-3, 4), den * rng.randint(1, 2)) for _ in range(n)])
+    rhs = [Fraction(max(0, rng.randint(-2, 7)), rng.randint(1, 4)) for _ in range(m)]
+    objective = [Fraction(rng.randint(-3, 5), rng.randint(1, 5)) for _ in range(n)]
+    return linear_program(objective, rows, rhs)
+
+
+def _path_shaped_program(rng):
+    """A 0/1 program the size of a six-vertex packing network's path LP:
+    10-25 edge rows, 40-80 path columns of 1-5 steps each, capacities in
+    0..3 and rational path weights."""
+    m = rng.randint(10, 25)
+    n = rng.randint(40, 80)
+    rows = [[F0] * n for _ in range(m)]
+    for j in range(n):
+        for i in rng.sample(range(m), rng.randint(1, 5)):
+            rows[i][j] = F1
+    rhs = [Fraction(rng.randint(0, 3)) for _ in range(m)]
+    objective = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(n)]
+    return linear_program(objective, rows, rhs)
+
+
+def _assert_matches_recomputed_pricing(lp):
+    general = GeneralProgram(lp.objective, lp.rows, ("<=",) * len(lp.rows), lp.rhs)
+    got, want = solve(lp), recomputed_pricing_solve(general)
+    assert (got.status, got.x, got.value, got.duals) == (
+        want.status,
+        want.x,
+        want.value,
+        want.duals,
+    )
+    return got.status
+
+
 def test_solve_matches_recomputed_pricing():
     rng = random.Random(211)
     seen = set()
     degenerate = 0
     for _ in range(400):
         lp = _random_program(rng)
-        general = GeneralProgram(lp.objective, lp.rows, ("<=",) * len(lp.rows), lp.rhs)
-        got, want = solve(lp), recomputed_pricing_solve(general)
-        assert (got.status, got.x, got.value, got.duals) == (
-            want.status,
-            want.x,
-            want.value,
-            want.duals,
-        )
-        seen.add(got.status)
+        seen.add(_assert_matches_recomputed_pricing(lp))
         degenerate += F0 in lp.rhs and lp.nvars > 0
     assert seen == {OPTIMAL, UNBOUNDED}
     assert degenerate >= 100
+
+    seen = set()
+    mixed = 0
+    for _ in range(300):
+        lp = _fractional_program(rng)
+        seen.add(_assert_matches_recomputed_pricing(lp))
+        scales = {lcm(*(a.denominator for a in row)) for row in lp.rows}
+        mixed += len(scales) > 1
+    assert seen == {OPTIMAL, UNBOUNDED}
+    assert mixed >= 150
+
+    for _ in range(12):
+        lp = _path_shaped_program(rng)
+        assert _assert_matches_recomputed_pricing(lp) == OPTIMAL
+
+
+def test_integer_certificate_agrees_with_fraction_certificate():
+    # Optimal solutions and copies with one x_j, one y_i or the value moved
+    # by +-1/k: the integer certificate and the Fraction one of the general
+    # program must give the same verdict on every one.
+    rng = random.Random(307)
+    verdicts = {True: 0, False: 0}
+    for draw in range(200):
+        lp = _fractional_program(rng) if draw % 2 else _random_program(rng)
+        sol = solve(lp)
+        if sol.status != OPTIMAL:
+            continue
+        general = GeneralProgram(lp.objective, lp.rows, ("<=",) * len(lp.rows), lp.rhs)
+        candidates = [sol]
+        for _ in range(6):
+            shift = Fraction(rng.choice((-1, 1)), rng.randint(1, 4))
+            x, y = list(sol.x), list(sol.duals)
+            field = rng.randrange(3)
+            if field == 0 and x:
+                x[rng.randrange(len(x))] += shift
+            elif field == 1 and y:
+                y[rng.randrange(len(y))] += shift
+            value = sol.value + shift if field == 2 else sol.value
+            candidates.append(LPSolution(OPTIMAL, tuple(x), value, tuple(y)))
+        for cand in candidates:
+            verdict = certificate_ok(lp, cand)
+            assert verdict == general_certificate_ok(general, cand)
+            verdicts[verdict] += 1
+    assert verdicts[True] >= 100 and verdicts[False] >= 500
