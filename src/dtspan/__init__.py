@@ -40,7 +40,6 @@ from .geometry import (
     is_balanced,
     norm_pair,
     point,
-    retract_ray,
     retract_to_qplus,
     retract_to_section,
     retract_to_tight_span,

@@ -10,10 +10,12 @@ pipeline:
    common multiple of its denominators, rays are primitive integer vectors,
    and each ray carries the set of constraints tight on it as a bitmask;
    Fractions appear only when the vertices are written out;
-2. read each vertex's binding set (zero coordinates and tight couplings) as
-   an integer bitmask and keep the vertices whose binding set is minimal:
-   every column or row that no tight coupling covers is a zero coordinate,
-   one AND per column and row;
+2. take each vertex's binding set (zero coordinates and tight couplings)
+   from double description itself: it is the ray's zero set with the
+   homogenizing bit 2n cleared, so no coordinate is summed or compared.
+   Keep the vertices whose binding set is minimal: every column or row that
+   no tight coupling covers is a zero coordinate, one AND per column and
+   row.  Only these vertices are written out as Fractions;
 3. read the faces of T off binding sets: a face's binding set is the
    intersection of its vertices' binding sets, so the candidates are the
    intersection closure of the vertex bitmasks.  Each candidate is the
@@ -26,8 +28,9 @@ pipeline:
    which some row coordinate vanishes identically.
 
 Face dimension is the number of components of the tight-coupling graph free
-of zero coordinates, cross-checked in the tests against the affine rank of
-the vertex set.  Everything is ordered canonically so output is byte-stable.
+of zero coordinates (``geometry.free_components`` on the binding mask),
+cross-checked in the tests against the affine rank of the vertex set.
+Everything is ordered canonically so output is byte-stable.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from math import gcd
 from typing import List, Sequence, Tuple
 
 from .errors import DomainError, certify
-from .geometry import EqualityGraph, ExtPoint, dinf
+from .geometry import ExtPoint, dinf, free_components
 from .metrics import DirectedDistance, scaled_entries
 
 ENUM_CAP = 5
@@ -98,6 +101,25 @@ def _extreme_rays(m: Sequence[Sequence[int]]) -> List[Ray]:
     return rays
 
 
+def _vertex_rays(mu: DirectedDistance) -> Tuple[int, List[Ray]]:
+    """(L, the rays of the cone over L * mu that are vertices of P), each ray
+    with its binding mask: its zero set with the homogenizing bit 2n
+    cleared, numbered as ``_edge_bit`` numbers tight couplings."""
+    scale, m = scaled_entries(mu)
+    off = ~(1 << (2 * mu.n))
+    return scale, [(r, z & off) for r, z in _extreme_rays(m) if r[-1] != 0]
+
+
+def _vertex(mu: DirectedDistance, scale: int, r: List[int]) -> ExtPoint:
+    """The vertex of P on ray r: r[:2n] / (L * r[-1])."""
+    n, d = mu.n, r[-1] * scale
+    return ExtPoint(
+        mu.ground,
+        tuple(Fraction(x, d) for x in r[:n]),
+        tuple(Fraction(x, d) for x in r[n:-1]),
+    )
+
+
 def polyhedron_vertices(mu: DirectedDistance) -> List[ExtPoint]:
     """All vertices of P, via the homogenization cone in R^(2n+1).
 
@@ -105,21 +127,8 @@ def polyhedron_vertices(mu: DirectedDistance) -> List[ExtPoint]:
     denominators, so every ray is an integer vector; the vertex of P on ray r
     is r[:2n] / (L * r[-1]).
     """
-    n = mu.n
-    scale, m = scaled_entries(mu)
-    verts = []
-    for r, _ in _extreme_rays(m):
-        if r[-1] != 0:
-            d = r[-1] * scale
-            verts.append(
-                ExtPoint(
-                    mu.ground,
-                    tuple(Fraction(x, d) for x in r[:n]),
-                    tuple(Fraction(x, d) for x in r[n:-1]),
-                )
-            )
-    verts.sort(key=lambda p: p.key())
-    return verts
+    scale, rays = _vertex_rays(mu)
+    return sorted((_vertex(mu, scale, r) for r, _ in rays), key=ExtPoint.key)
 
 
 # -- face assembly ------------------------------------------------------------
@@ -178,27 +187,12 @@ def _edge_bit(n: int, s: int, t: int) -> int:
     return 1 << (2 * n + 1 + s * n + t)
 
 
-def _binding(mu: DirectedDistance, p: ExtPoint) -> int:
-    """Zero coordinates and tight couplings of p as a bitmask."""
-    n, e = mu.n, mu.entries
-    b = 0
-    for s, x in enumerate(p.col):
-        if x == 0:
-            b |= 1 << s
-        for t, y in enumerate(p.row):
-            if x + y == e[s][t]:
-                b |= _edge_bit(n, s, t)
-    for t, y in enumerate(p.row):
-        if y == 0:
-            b |= 1 << (n + t)
-    return b
-
-
 def _face(n: int, ids: Tuple[int, ...], b: int) -> Face:
-    edges = tuple((s, t) for s in range(n) for t in range(n) if b & _edge_bit(n, s, t))
+    tight = b >> (2 * n + 1)
+    edges = tuple(divmod(i, n) for i in range(n * n) if tight >> i & 1)
     zc = tuple(s for s in range(n) if b >> s & 1)
     zr = tuple(t for t in range(n) if b >> (n + t) & 1)
-    free = EqualityGraph(n, frozenset(edges)).free_components(zc, zr)
+    free = free_components(n, tight, b & ((1 << (2 * n)) - 1))
     return Face(ids, len(free), edges, zc, zr, tuple(free))
 
 
@@ -215,12 +209,12 @@ def enumerate_tight_span(mu: DirectedDistance) -> PolyComplex:
         # every column and row that no tight coupling covers is a zero coordinate
         return all(b & need for need in needs)
 
-    vertices, bindings = [], []
-    for p in polyhedron_vertices(mu):
-        b = _binding(mu, p)
-        if minimal(b):
-            vertices.append(p)
-            bindings.append(b)
+    scale, rays = _vertex_rays(mu)
+    found = sorted(
+        ((_vertex(mu, scale, r), b) for r, b in rays if minimal(b)), key=lambda pb: pb[0].key()
+    )
+    vertices = [p for p, _ in found]
+    bindings = [b for _, b in found]
 
     candidates = set(bindings)
     frontier = set(bindings)
@@ -244,8 +238,8 @@ def enumerate_tight_span(mu: DirectedDistance) -> PolyComplex:
 
 
 def _in_qplus(n: int, f: Face) -> bool:
-    k = EqualityGraph(n, frozenset(f.edges))
-    return not k.isolated_cols() and not k.isolated_rows()
+    """Every column and every row is covered by a tight coupling."""
+    return len({s for s, _ in f.edges}) == n and len({t for _, t in f.edges}) == n
 
 
 def _restrict(parent: PolyComplex, keep: List[Face], which: str) -> PolyComplex:

@@ -16,14 +16,15 @@ Main tools:
 - dinf_plus / dinf: the asymmetric sup-distances making T a directed metric
   space;
 - equality_graph: the bipartite graph of tight couplings at a point, which
-  governs minimality and local dimension;
+  governs minimality and local dimension; its components are searched over
+  2n-bit adjacency masks, by the same routine that ``complexes`` runs on
+  the binding masks of faces;
 - classify_membership: where a point sits relative to Pi, P, T, Q+;
 - canonical_points: the distance rows/columns of an element and the two
   one-sided minimal representatives, all landing in T when expected;
-- retract_ray, and the two nonexpansive retractions (P onto T, T onto Q+)
-  as closed-form coordinate updates: each step's length is read off the
-  coordinates and the coupling slacks directly, and each result is
-  certified in T or Q+;
+- the two nonexpansive retractions (P onto T, T onto Q+) as closed-form
+  coordinate updates: each step's length is read off the coordinates and
+  the coupling slacks directly, and each result is certified in T or Q+;
 - balance of point sets, balanced sections of Q over the tropical quotient,
   and the interval-based extension of a balanced set to further fibers;
 - geodesic_polyline: exact geodesics through pointwise retraction.
@@ -137,40 +138,16 @@ class EqualityGraph:
         covered = {t for _, t in self.edges}
         return frozenset(t for t in range(self.n) if t not in covered)
 
+    def _tight_mask(self) -> int:
+        """The edges as an n*n-bit mask: coupling (s, t) is bit s*n + t."""
+        return sum(1 << (s * self.n + t) for s, t in self.edges)
+
     def components(self) -> List[Tuple[frozenset, frozenset]]:
         """Connected components as (column set, row set), isolated vertices
-        appearing as singletons.  Deterministic order: by smallest member."""
-        adj_c = {s: set() for s in range(self.n)}
-        adj_r = {t: set() for t in range(self.n)}
-        for s, t in self.edges:
-            adj_c[s].add(t)
-            adj_r[t].add(s)
-        seen_c, seen_r = set(), set()
-        comps = []
-        for start in range(self.n):
-            for side in ("c", "r"):
-                if side == "c" and start in seen_c:
-                    continue
-                if side == "r" and start in seen_r:
-                    continue
-                cols, rows = set(), set()
-                stack = [(side, start)]
-                while stack:
-                    kind, v = stack.pop()
-                    if kind == "c":
-                        if v in cols:
-                            continue
-                        cols.add(v)
-                        seen_c.add(v)
-                        stack.extend(("r", t) for t in adj_c[v])
-                    else:
-                        if v in rows:
-                            continue
-                        rows.add(v)
-                        seen_r.add(v)
-                        stack.extend(("c", s) for s in adj_r[v])
-                comps.append((frozenset(cols), frozenset(rows)))
-        return comps
+        appearing as singletons.  Deterministic order: components holding a
+        column by their smallest column, then the isolated rows by index."""
+        sides = [_sides(self.n, c) for c in _component_masks(self.n, self._tight_mask())]
+        return [(frozenset(cols), frozenset(rows)) for cols, rows in sides]
 
     def free_components(
         self, zero_cols: Iterable[int], zero_rows: Iterable[int]
@@ -178,13 +155,53 @@ class EqualityGraph:
         """Components touching no zero coordinate, as sorted (column tuple,
         row tuple) pairs in sorted order.  On a face of T these span the
         face, one direction (+1 on the columns, -1 on the rows) each."""
-        free = [
-            (tuple(sorted(cols)), tuple(sorted(rows)))
-            for cols, rows in self.components()
-            if cols.isdisjoint(zero_cols) and rows.isdisjoint(zero_rows)
-        ]
-        free.sort()
-        return free
+        n, zc, zr = self.n, set(zero_cols), set(zero_rows)
+        zero = sum(1 << i for i in range(n) if i in zc)
+        zero |= sum(1 << (n + i) for i in range(n) if i in zr)
+        return free_components(n, self._tight_mask(), zero)
+
+
+def _component_masks(n: int, tight: int) -> List[int]:
+    """Connected components of the equality graph with tight couplings
+    ``tight`` (bit s*n + t for (s, t)), as 2n-bit masks with column s at bit
+    s and row t at bit n + t, in the order of their lowest bits."""
+    adj = [0] * (2 * n)
+    while tight:
+        low = tight & -tight
+        s, t = divmod(low.bit_length() - 1, n)
+        adj[s] |= 1 << (n + t)
+        adj[n + t] |= 1 << s
+        tight ^= low
+    comps = []
+    left = (1 << (2 * n)) - 1
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            while frontier:
+                v = frontier & -frontier
+                reach |= adj[v.bit_length() - 1]
+                frontier ^= v
+            frontier = reach & ~comp
+            comp |= frontier
+        comps.append(comp)
+        left &= ~comp
+    return comps
+
+
+def free_components(n: int, tight: int, zero: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """The components of ``_component_masks(n, tight)`` disjoint from the
+    2n-bit mask ``zero`` of zero coordinates, as sorted (column tuple, row
+    tuple) pairs in sorted order.  The one component search behind
+    ``EqualityGraph`` and the faces of ``complexes``."""
+    free = [_sides(n, c) for c in _component_masks(n, tight) if not c & zero]
+    free.sort()
+    return free
+
+
+def _sides(n: int, c: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The columns and the rows of a 2n-bit component mask."""
+    return tuple(s for s in range(n) if c >> s & 1), tuple(t for t in range(n) if c >> (n + t) & 1)
 
 
 # -- distances ---------------------------------------------------------------
@@ -339,36 +356,6 @@ def face_dimension(mu: DirectedDistance, p: ExtPoint):
 
 
 # -- retractions -------------------------------------------------------------
-
-
-def retract_ray(
-    mu: DirectedDistance, p: ExtPoint, v: ExtPoint, amax: Optional[Fraction] = None
-) -> ExtPoint:
-    """Move from p along v as far as P allows, capped at amax.
-
-    With amax None the direction must hit a constraint eventually, which is
-    guaranteed when v has a negative component.
-    """
-    _check_ground(mu, p)
-    if not (_in_pi(mu, p) and _nonneg(p)):
-        raise DomainError("NotInP", "ray retraction starts from a point of P")
-    bounds: List[Fraction] = []
-    n = mu.n
-    for i, (x, d) in enumerate(zip(p.coords(), v.coords())):
-        if d < 0:
-            bounds.append(x / -d)
-    for s in range(n):
-        for t in range(n):
-            delta = v.col[s] + v.row[t]
-            if delta < 0:
-                slack = p.col[s] + p.row[t] - mu.entries[s][t]
-                bounds.append(slack / -delta)
-    if not bounds and amax is None:
-        raise DomainError("UnboundedDirection", "direction never leaves P and no cap given")
-    eps = min(bounds) if bounds else amax
-    if amax is not None and amax < eps:
-        eps = amax
-    return p.add_scaled(v, eps)
 
 
 def retract_to_tight_span(mu: DirectedDistance, p: ExtPoint) -> ExtPoint:

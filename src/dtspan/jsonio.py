@@ -1,24 +1,28 @@
 """JSON and DOT serialization with canonical rational strings.
 
 Every rational is written as str(Fraction): an integer string or "p/q" in
-lowest terms with positive denominator.  On input every rational goes through
-``metrics.as_fraction``, which rejects floats and bools, so a round trip
-through JSON never loses exactness.  A rational too long for ``str`` (past
+lowest terms with positive denominator.  ``dumps`` is a one-pass writer: it
+walks the report once, converting rationals, distances and points as it
+meets them, and its text is byte-identical to ``json.dumps(obj, indent=2)``
+of the converted report (strings go through the same C escaper,
+``json.encoder.encode_basestring_ascii``).  On input every rational goes
+through ``metrics.as_fraction``, which rejects floats and bools, so a round
+trip through JSON never loses exactness.  A rational too long for ``str`` (past
 Python's int-to-string digit limit) is ``OutputWriteError``.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Sequence
 
 from .complexes import PolyComplex, SkeletonGraph
 from .errors import DomainError
 from .flow import Network, network
 from .geometry import ExtPoint
-from .metrics import DirectedDistance, as_fraction, validate_distance
+from .metrics import DirectedDistance, _shown, as_fraction, validate_distance
 from .trees import OrientedTree, Realization, SplitTerm
 
 # -- rationals -----------------------------------------------------------------
@@ -38,10 +42,10 @@ def fraction_to_str(x: Fraction) -> str:
 
 def _expect(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
-        raise DomainError("InputParseError", f"{where}: missing field {key!r}")
+        raise DomainError("InputParseError", f"{where}: missing field {_shown(key)}")
     value = obj[key]
     if kind is not None and not isinstance(value, kind):
-        raise DomainError("InputParseError", f"{where}: field {key!r} has the wrong type")
+        raise DomainError("InputParseError", f"{where}: field {_shown(key)} has the wrong type")
     return value
 
 
@@ -49,7 +53,7 @@ def _names(obj, key, where) -> list:
     """A list of string names: points and subtrees name them as JSON object keys."""
     value = _expect(obj, key, list, where)
     if not all(isinstance(v, str) for v in value):
-        raise DomainError("InputParseError", f"{where}: field {key!r} must be a list of strings")
+        raise DomainError("InputParseError", f"{where}: field {_shown(key)} must be a list of strings")
     return value
 
 
@@ -235,23 +239,64 @@ def realization_to_dot(r: Realization) -> str:
     return "\n".join(lines)
 
 
-# -- generic report conversion ----------------------------------------------------
-
-
-def to_jsonable(value):
-    """Recursively convert report structures into plain JSON values."""
-    if isinstance(value, Fraction):
-        return fraction_to_str(value)
-    if isinstance(value, DirectedDistance):
-        return distance_to_json(value)
-    if isinstance(value, ExtPoint):
-        return point_to_json(value)
-    if isinstance(value, dict):
-        return {k: to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    return value
+# -- the writer -----------------------------------------------------------------
 
 
 def dumps(obj) -> str:
-    return json.dumps(to_jsonable(obj), indent=2)
+    """``json.dumps(obj, indent=2)`` byte for byte, written in one pass.
+
+    ``obj`` is a report: dicts with string keys, lists, tuples, strings,
+    ints, bools and None, with ``Fraction``, ``DirectedDistance`` and
+    ``ExtPoint`` values written as ``fraction_to_str``, ``distance_to_json``
+    and ``point_to_json`` give them.  Anything else is ``TypeError``.
+    """
+    out: List[str] = []
+    _write(obj, out.append, "\n")
+    return "".join(out)
+
+
+def _write(x, put, nl: str) -> None:
+    """Append the text of x to the output through put; nl is the newline
+    and indentation of x's own line."""
+    if isinstance(x, str):
+        put(_quote(x))
+    elif isinstance(x, dict):
+        if not x:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in x.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            put(sep + _quote(k) + ": ")
+            _write(v, put, inner)
+            sep = "," + inner
+        put(nl + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in x:
+            put(sep)
+            _write(v, put, inner)
+            sep = "," + inner
+        put(nl + "]")
+    elif x is None:
+        put("null")
+    elif x is True:
+        put("true")
+    elif x is False:
+        put("false")
+    elif isinstance(x, int):
+        put(int.__repr__(x))
+    elif isinstance(x, Fraction):
+        put(_quote(fraction_to_str(x)))
+    elif isinstance(x, ExtPoint):
+        _write(point_to_json(x), put, nl)
+    elif isinstance(x, DirectedDistance):
+        _write(distance_to_json(x), put, nl)
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")

@@ -54,7 +54,7 @@ class GroundSet:
         if len(self.labels) < 1:
             raise DomainError("NonSquare", "ground set must have at least one element")
         if len(set(self.labels)) != len(self.labels):
-            raise DomainError("DuplicateLabel", f"duplicate labels in {self.labels}")
+            raise DomainError("DuplicateLabel", f"duplicate labels in {_shown(self.labels)}")
 
     @property
     def n(self) -> int:
@@ -66,7 +66,7 @@ class GroundSet:
         Bools are neither, as in ``as_fraction``: ``True`` never reads as 1.
         """
         if isinstance(element, bool):
-            raise DomainError("UnknownElement", f"element {element!r} not in ground set")
+            raise DomainError("UnknownElement", f"element {_shown(element)} not in ground set")
         if isinstance(element, int):
             if not 0 <= element < self.n:
                 raise DomainError("IndexOutOfRange", f"index {element} out of range for n={self.n}")
@@ -74,7 +74,7 @@ class GroundSet:
         try:
             return self.labels.index(element)
         except ValueError:
-            raise DomainError("UnknownElement", f"element {element!r} not in ground set") from None
+            raise DomainError("UnknownElement", f"element {_shown(element)} not in ground set") from None
 
 
 @dataclass(frozen=True)

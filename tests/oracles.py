@@ -14,8 +14,15 @@ Fractions and recomputes every zero set on every round, and
 vertices; comparing the library with them checks its integer arithmetic
 and its bookkeeping of zero and binding sets as bitmasks.
 ``sweep_retract_to_tight_span`` and ``sweep_retract_to_qplus`` move one
-``retract_ray`` step at a time; comparing them with the closed-form
-retractions checks every step length.
+``retract_ray`` step at a time (the library's former ray step); comparing
+them with the closed-form retractions checks every step length.
+``binding_mask`` recomputes a vertex's binding set from Fraction sums,
+where the library reads it off double description's zero set;
+``set_components`` is the library's former component search over sets,
+where it now searches 2n-bit adjacency masks; ``json_dumps`` is the
+library's former writer, ``to_jsonable`` followed by CPython's
+``json.dumps(indent=2)``, against which the one-pass writer is compared
+byte for byte.
 ``recomputed_pricing_solve`` is the library's former general two-phase
 simplex (any row sense, any sign of right-hand side, max or min, over a
 ``GeneralProgram``) and recomputes every reduced cost on every iteration.
@@ -29,6 +36,7 @@ Fraction entries; comparing them with the scans over the integer matrix
 L * mu checks the scaling.
 """
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +46,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from dtspan import (
     DirectedDistance,
     DomainError,
-    EqualityGraph,
     ExtPoint,
     GroundSet,
     MatchingInstance,
@@ -51,12 +58,12 @@ from dtspan import (
     in_tight_span,
     point,
     random_realization,
-    retract_ray,
     retract_to_qplus,
     retract_to_tight_span,
     validate_distance,
 )
 from dtspan.errors import certify
+from dtspan.jsonio import distance_to_json, fraction_to_str, point_to_json
 from dtspan.geometry import _check_ground, _in_pi, _nonneg
 from dtspan.lp import OPTIMAL, UNBOUNDED, LPSolution
 from dtspan.trees import KINDS
@@ -243,6 +250,73 @@ def zero_set_polyhedron_vertices(mu: DirectedDistance) -> List[ExtPoint]:
     return verts
 
 
+def binding_mask(mu: DirectedDistance, p: ExtPoint) -> int:
+    """Zero coordinates and tight couplings of p as a bitmask, from sums and
+    comparisons of Fractions: zero column s is bit s, zero row t bit n + t,
+    coupling (s, t) bit 2n + 1 + s*n + t."""
+    n, e = mu.n, mu.entries
+    b = 0
+    for s, x in enumerate(p.col):
+        if x == 0:
+            b |= 1 << s
+        for t, y in enumerate(p.row):
+            if x + y == e[s][t]:
+                b |= 1 << (2 * n + 1 + s * n + t)
+    for t, y in enumerate(p.row):
+        if y == 0:
+            b |= 1 << (n + t)
+    return b
+
+
+def set_components(n: int, edges) -> List[Tuple[FrozenSet[int], FrozenSet[int]]]:
+    """Connected components of the bipartite graph on columns and rows with
+    the given (s, t) edges, by a stack search over sets, as (column set, row
+    set); isolated vertices appear as singletons."""
+    adj_c = {s: set() for s in range(n)}
+    adj_r = {t: set() for t in range(n)}
+    for s, t in edges:
+        adj_c[s].add(t)
+        adj_r[t].add(s)
+    seen_c, seen_r = set(), set()
+    comps = []
+    for start in range(n):
+        for side in ("c", "r"):
+            if side == "c" and start in seen_c:
+                continue
+            if side == "r" and start in seen_r:
+                continue
+            cols, rows = set(), set()
+            stack = [(side, start)]
+            while stack:
+                kind, v = stack.pop()
+                if kind == "c":
+                    if v in cols:
+                        continue
+                    cols.add(v)
+                    seen_c.add(v)
+                    stack.extend(("r", t) for t in adj_c[v])
+                else:
+                    if v in rows:
+                        continue
+                    rows.add(v)
+                    seen_r.add(v)
+                    stack.extend(("c", s) for s in adj_r[v])
+            comps.append((frozenset(cols), frozenset(rows)))
+    return comps
+
+
+def set_free_components(n: int, edges, zero_cols, zero_rows):
+    """The components of ``set_components`` touching no zero coordinate, as
+    sorted (column tuple, row tuple) pairs in sorted order."""
+    free = [
+        (tuple(sorted(cols)), tuple(sorted(rows)))
+        for cols, rows in set_components(n, edges)
+        if cols.isdisjoint(zero_cols) and rows.isdisjoint(zero_rows)
+    ]
+    free.sort()
+    return free
+
+
 def _binding(mu: DirectedDistance, p: ExtPoint) -> FrozenSet:
     items = {("e",) + e for e in equality_graph(mu, p).edges}
     items.update(("zc", s) for s in range(mu.n) if p.col[s] == 0)
@@ -265,9 +339,8 @@ def _face_from_witness(mu: DirectedDistance, ids: Tuple[int, ...], witness: ExtP
     edges = tuple(sorted(equality_graph(mu, witness).edges))
     zc = tuple(s for s in range(mu.n) if witness.col[s] == 0)
     zr = tuple(t for t in range(mu.n) if witness.row[t] == 0)
-    k = EqualityGraph(mu.n, frozenset(edges))
     free = []
-    for cols, rows in k.components():
+    for cols, rows in set_components(mu.n, edges):
         if any(witness.col[s] == 0 for s in cols) or any(witness.row[t] == 0 for t in rows):
             continue
         free.append((tuple(sorted(cols)), tuple(sorted(rows))))
@@ -313,6 +386,37 @@ def witness_tight_span(mu: DirectedDistance):
 
 
 # -- retractions by ray steps ------------------------------------------------------
+
+
+def retract_ray(
+    mu: DirectedDistance, p: ExtPoint, v: ExtPoint, amax: Optional[Fraction] = None
+) -> ExtPoint:
+    """Move from p along v as far as P allows, capped at amax.
+
+    With amax None the direction must hit a constraint eventually, which is
+    guaranteed when v has a negative component.
+    """
+    _check_ground(mu, p)
+    if not (_in_pi(mu, p) and _nonneg(p)):
+        raise DomainError("NotInP", "ray retraction starts from a point of P")
+    bounds: List[Fraction] = []
+    n = mu.n
+    for i, (x, d) in enumerate(zip(p.coords(), v.coords())):
+        if d < 0:
+            bounds.append(x / -d)
+    for s in range(n):
+        for t in range(n):
+            delta = v.col[s] + v.row[t]
+            if delta < 0:
+                slack = p.col[s] + p.row[t] - mu.entries[s][t]
+                bounds.append(slack / -delta)
+    if not bounds and amax is None:
+        raise DomainError("UnboundedDirection", "direction never leaves P and no cap given")
+    eps = min(bounds) if bounds else amax
+    if amax is not None and amax < eps:
+        eps = amax
+    return p.add_scaled(v, eps)
+
 
 
 def _unit(ground: GroundSet, side: str, index: int, sign: int) -> ExtPoint:
@@ -871,3 +975,25 @@ def recomputed_pricing_solve(lp: GeneralProgram) -> LPSolution:
     certify(general_certificate_ok(lp, sol), "simplex returned an uncertified optimum")
     return sol
 
+
+# -- JSON ------------------------------------------------------------------------
+
+
+def to_jsonable(value):
+    """Recursively convert report structures into plain JSON values."""
+    if isinstance(value, Fraction):
+        return fraction_to_str(value)
+    if isinstance(value, DirectedDistance):
+        return distance_to_json(value)
+    if isinstance(value, ExtPoint):
+        return point_to_json(value)
+    if isinstance(value, dict):
+        return {k: to_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_jsonable(v) for v in value]
+    return value
+
+
+def json_dumps(value) -> str:
+    """The library's former writer: convert, then CPython's own encoder."""
+    return json.dumps(to_jsonable(value), indent=2)

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import dtspan
+from dtspan import jsonio
 from dtspan.cli import _parser, main
 from dtspan.jsonio import distance_to_json, network_to_json
-from oracles import random_eulerian_network, random_metric, random_network
+from oracles import json_dumps, random_eulerian_network, random_metric, random_network
 
 ALL_ONE = {
     "labels": ["x0", "x1", "x2"],
@@ -40,6 +41,20 @@ def files(tmp_path):
         return str(path)
 
     return tmp_path, write
+
+
+@pytest.fixture(autouse=True)
+def writer_matches_oracle(monkeypatch):
+    """Every object the CLI writes, report or error, must come out as the
+    former writer (``to_jsonable`` then ``json.dumps(indent=2)``) wrote it."""
+    write = jsonio.dumps
+
+    def checked(obj):
+        text = write(obj)
+        assert text == json_dumps(obj)
+        return text
+
+    monkeypatch.setattr(jsonio, "dumps", checked)
 
 
 def run(capsys, argv):
@@ -299,6 +314,17 @@ def test_huge_entry_gives_a_short_parse_error(files, capsys):
     printed = capsys.readouterr().out
     assert code == 1
     assert json.loads(printed)["error"]["code"] == "InputParseError"
+    assert len(printed.encode()) < 300
+
+
+def test_duplicate_huge_labels_give_a_short_error(files, capsys):
+    _, write = files
+    label = "x" * 5000
+    dup = {"labels": [label, label], "matrix": [["0", "1"], ["1", "0"]]}
+    code = main(["validate", write("m.json", dup)])
+    printed = capsys.readouterr().out
+    assert code == 1
+    assert json.loads(printed)["error"]["code"] == "DuplicateLabel"
     assert len(printed.encode()) < 300
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from dtspan import (
     DomainError,
+    EqualityGraph,
     Membership,
     canonical_section_membership,
     classify_membership,
@@ -18,15 +19,20 @@ from dtspan import (
     enumerate_qplus,
     enumerate_section,
     enumerate_tight_span,
+    equality_graph,
     face_dimension,
     point,
     skeleton_graph,
     tropical_rank_witness,
 )
-from dtspan.complexes import polyhedron_vertices
+from dtspan.complexes import _vertex, _vertex_rays, polyhedron_vertices
 from oracles import (
     affine_rank,
+    binding_mask,
     random_distance,
+    random_t_point,
+    set_components,
+    set_free_components,
     vertex_oracle,
     witness_tight_span,
     zero_set_polyhedron_vertices,
@@ -129,6 +135,33 @@ def test_faces_match_witness_route():
                 (f.vertex_ids, f.dim, f.edges, f.zero_cols, f.zero_rows, f.directions)
                 for f in t.faces
             ] == faces
+
+
+def test_binding_masks_and_components_match_oracles():
+    # each vertex's mask from double description equals its binding set
+    # recomputed in Fractions, and the bitmask component search equals the
+    # set-based one on every face and at points of T
+    rng = random.Random(18)
+    for n, count in ((2, 12), (3, 12), (4, 6), (5, 2)):
+        for k in range(count):
+            den = 1 if k % 2 else 5
+            mu = random_distance(rng, n, zeros=0.3 if k % 3 == 0 else 0.0, den=den)
+            scale, rays = _vertex_rays(mu)
+            assert len(rays) == len(polyhedron_vertices(mu))
+            for r, b in rays:
+                assert b == binding_mask(mu, _vertex(mu, scale, r))
+            t = enumerate_tight_span(mu)
+            for f in t.faces:
+                g = EqualityGraph(n, frozenset(f.edges))
+                assert set(g.components()) == set(set_components(n, f.edges))
+                assert list(f.directions) == set_free_components(n, f.edges, f.zero_cols, f.zero_rows)
+            for _ in range(4):
+                p = random_t_point(rng, mu)
+                zc = [s for s in range(n) if p.col[s] == 0]
+                zr = [s for s in range(n) if p.row[s] == 0]
+                d, dirs = face_dimension(mu, p)
+                assert dirs == set_free_components(n, equality_graph(mu, p).edges, zc, zr)
+                assert d == len(dirs)
 
 
 def test_integer_double_description_with_mixed_denominators():

@@ -29,7 +29,6 @@ from dtspan import (
     is_metric,
     norm_pair,
     point,
-    retract_ray,
     retract_to_qplus,
     retract_to_section,
     retract_to_tight_span,
@@ -41,6 +40,7 @@ from oracles import (
     random_q_point,
     random_qplus_point,
     random_t_point,
+    retract_ray,
     sweep_retract_to_qplus,
     sweep_retract_to_tight_span,
 )

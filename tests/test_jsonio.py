@@ -36,7 +36,7 @@ from dtspan.jsonio import (
 )
 from dtspan.metrics import as_fraction
 from dtspan.trees import random_realization
-from oracles import random_distance
+from oracles import json_dumps, random_distance
 
 ALL_ONE = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
@@ -187,3 +187,35 @@ def test_dumps_deterministic_and_exact():
     assert '"1/3"' in one and '"5/2"' in one
     parsed = json.loads(one)
     assert distance_from_json(parsed).entries == mu.entries
+
+
+def test_writer_matches_json_dumps_on_hand_built_reports():
+    mu = distance_from_entries([[0, Fraction(1, 3)], [Fraction(5, 2), 0]], ("a", "é"))
+    deep = []
+    for k in range(30):
+        deep = [k, deep] if k % 2 else {"k": deep, "n": k}
+    cases = [
+        {}, [], (), "", 0, None, True, False, Fraction(-2, 3),
+        {"a": {}}, {"a": []}, [[]], [{}], [[], {}, [[]], ()], {"a": {"b": {"c": []}}},
+        [None, True, False, 0, 1, -1], {"t": True, "f": False, "n": None, "0": 0, "1": 1},
+        ("x", ("y", ()), [("z",)]),
+        {"\u00e9": "\u00fcn\u00efc\u00f8d\u00e9", "\u96ea": "\u2603", "e": "\U0001f600\ud800"},
+        {'q"uote': 'a"b', "back\\slash": "c\\d", "ctl\x00\x1f": "\n\t\r\b\f\x7f/"},
+        [2**64, -(2**64) - 1, 10**40, 2**63 - 1],
+        {"r": Fraction(-7, 3), "i": Fraction(5), "big": Fraction(2**70, 3)},
+        {"mu": mu, "points": [point(mu, (0, Fraction(1, 2)), (3, 0))], "value": Fraction(1, 3)},
+        deep,
+    ]
+    for obj in cases:
+        assert dumps(obj) == json_dumps(obj)
+    for bad in (0.5, {1, 2}, {1: "one"}, b"bytes"):
+        with pytest.raises(TypeError):
+            dumps(bad)
+
+
+def test_field_names_are_quoted_short():
+    huge = "t" * 5000
+    with pytest.raises(DomainError) as err:
+        realization_from_json({"vertices": ["v"], "edges": [], "terminals": [huge], "subtrees": {huge: 5}})
+    assert err.value.code == "InputParseError"
+    assert len(err.value.message) < 200

@@ -61,6 +61,20 @@ def test_bools_are_not_indices():
     assert mu.value(1, 0) == 2
 
 
+def test_unknown_and_duplicate_labels_are_quoted_short():
+    # a message quotes a bounded prefix of a huge label, not all of it
+    huge = "y" * 5000
+    mu = distance_from_entries([[0, 1], [2, 0]])
+    for call, code in (
+        (lambda: mu.value(huge, 0), "UnknownElement"),
+        (lambda: distance_from_entries([[0, 1], [2, 0]], (huge, huge)), "DuplicateLabel"),
+    ):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert err.value.code == code
+        assert len(err.value.message) < 200
+
+
 def test_validate_default_labels():
     mu = distance_from_entries(ALL_ONE)
     assert mu.labels == ("x0", "x1", "x2")
