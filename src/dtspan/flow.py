@@ -34,7 +34,7 @@ from .geometry import (
     retract_to_tight_span,
 )
 from .lp import LinearProgram, solve
-from .metrics import DirectedDistance, cycle_length, distance_from_entries, is_metric
+from .metrics import DirectedDistance, _shown, cycle_length, distance_from_entries, is_metric
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -61,13 +61,13 @@ class Network:
         seen = set()
         for tail, head, cap in self.edges:
             if tail not in vs or head not in vs:
-                raise DomainError("InvalidNetwork", f"edge {tail!r}->{head!r} uses unknown vertex")
+                raise DomainError("InvalidNetwork", f"edge {_shown(tail)}->{_shown(head)} uses unknown vertex")
             if tail == head:
-                raise DomainError("InvalidNetwork", f"self-loop at {tail!r}")
+                raise DomainError("InvalidNetwork", f"self-loop at {_shown(tail)}")
             if not isinstance(cap, int) or cap < 0:
                 raise DomainError("InvalidNetwork", "capacities must be nonnegative integers")
             if (tail, head) in seen:
-                raise DomainError("InvalidNetwork", f"unmerged parallel edge {tail!r}->{head!r}")
+                raise DomainError("InvalidNetwork", f"unmerged parallel edge {_shown(tail)}->{_shown(head)}")
             seen.add((tail, head))
         if len(self.terminals) < 2:
             raise DomainError("InvalidNetwork", "need at least two terminals")
@@ -75,7 +75,7 @@ class Network:
             raise DomainError("InvalidNetwork", "duplicate terminal")
         for s in self.terminals:
             if s not in vs:
-                raise DomainError("InvalidNetwork", f"terminal {s!r} is not a vertex")
+                raise DomainError("InvalidNetwork", f"terminal {_shown(s)} is not a vertex")
 
 
 def network(vertices, edges, terminals) -> Network:
@@ -197,7 +197,7 @@ class MetricExtension:
                 if self.d.value(s, t) != self.mu.value(s, t):
                     raise DomainError(
                         "NotAnExtension",
-                        f"boundary value at ({s!r},{t!r}) differs from mu",
+                        f"boundary value at ({_shown(s)},{_shown(t)}) differs from mu",
                     )
 
     def point_of(self, x: str) -> ExtPoint:

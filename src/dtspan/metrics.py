@@ -161,10 +161,10 @@ def validate_distance(matrix: Sequence[Sequence], labels: Optional[Sequence[str]
         rows.append(tuple(as_fraction(x) for x in row))
     for i in range(n):
         if rows[i][i] != 0:
-            raise DomainError("NonzeroDiagonal", f"entry ({i},{i}) is {rows[i][i]}, expected 0")
+            raise DomainError("NonzeroDiagonal", f"entry ({i},{i}) is {_shown(str(rows[i][i]))}, expected 0")
         for j in range(n):
             if rows[i][j] < 0:
-                raise DomainError("NegativeEntry", f"entry ({i},{j}) is {rows[i][j]}")
+                raise DomainError("NegativeEntry", f"entry ({i},{j}) is {_shown(str(rows[i][j]))}")
     if labels is None:
         labels = tuple(f"x{i}" for i in range(n))
     ground = GroundSet(tuple(labels))

@@ -13,14 +13,29 @@ Since entries are nonnegative the two optimum values agree on every
 submatrix; only the uniqueness question differs, by ties with smaller
 matchings, i.e. zero-weight edges in the optimum.
 
-Optima come from an exact Hungarian algorithm; uniqueness is certified by
-searching the optimal dual's equality subgraph for an alternating cycle.
-Neither step divides, so the search runs on the integer matrix L * mu
-(``metrics.scaled_entries``, L the least common multiple of the
-denominators): scaling by L > 0 keeps every comparison, every tie and
-every Hungarian step.  Minors are sliced straight out of those integer
-rows; a ``MatchingInstance`` is built only for the final witness, whose
-matching ``max_matching`` reads off mu itself.
+The search runs on the integer matrix m = L * mu (``metrics.scaled_entries``,
+L the least common multiple of the denominators): scaling by L > 0 keeps
+every comparison and every tie.  One memoized recursion answers every minor
+of one search.  For a row mask A and a column mask B with |A| = |B|, expand
+along the highest row r of A:
+
+    opt(A, B) = max over j in B of opt(A - r, B - j) + m[r][j],
+
+with opt(empty, empty) = 0.  The optima of (A, B) are exactly the optima of
+the sub-minors at the maximizing columns, each extended by (r, j).  So the
+optimum of (A, B) is unique when exactly one column j attains the maximum
+and the optimum of (A - r, B - j) is unique; in MT mode m[r][j] > 0 is
+needed too, since dropping a zero-weight edge ties with a smaller matching.
+Expanding along the highest row keeps the row masks of A's states to the
+prefixes of A, so a search visits at most C(2n, n) states (A, B), with O(k)
+work each, and neighbouring minors share their sub-minors.  The memo lives
+for one search.  The witness matching is read off the memo by following
+the unique maximizing column from the top row down.
+
+The exact Hungarian algorithm and the alternating-cycle test on its
+equality subgraph stay for the per-instance API, ``max_matching`` and
+``is_unique_optimum``, which answer one instance of any size in polynomial
+time.
 
 Both uniqueness notions are closed downward.  If a (k+1) x (k+1) minor has
 a unique optimum M of either kind, deleting one edge e of M with its row and
@@ -37,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import DomainError
 from .metrics import DirectedDistance, Element, scaled_entries
@@ -191,17 +206,6 @@ def max_matching(instance: MatchingInstance, mode: str = "MT"):
     return value, pairs
 
 
-def _unique(w: Sequence[Sequence], mode: str) -> bool:
-    """Whether the optimum of the given mode on the square matrix w is
-    attained exactly once (see ``is_unique_optimum``)."""
-    row_to_col, u, v = _hungarian_max(w)
-    k = len(w)
-    if mode == "MT" and any(w[i][row_to_col[i]] == 0 for i in range(k)):
-        return False
-    tight = [[u[i] + v[j] == w[i][j] for j in range(k)] for i in range(k)]
-    return not _has_alternating_cycle(tight, row_to_col)
-
-
 def is_unique_optimum(instance: MatchingInstance, mode: str = "MT") -> bool:
     """Whether the optimum of the given mode is attained exactly once.
 
@@ -211,37 +215,79 @@ def is_unique_optimum(instance: MatchingInstance, mode: str = "MT") -> bool:
     """
     if mode not in ("MT", "PMT"):
         raise DomainError("UsageError", f"unknown matching mode {mode!r}")
-    return _unique(instance.weights, mode)
+    w = instance.weights
+    k = instance.k
+    row_to_col, u, v = _hungarian_max(w)
+    if mode == "MT" and any(w[i][row_to_col[i]] == 0 for i in range(k)):
+        return False
+    tight = [[u[i] + v[j] == w[i][j] for j in range(k)] for i in range(k)]
+    return not _has_alternating_cycle(tight, row_to_col)
 
 
-def _first_unique_minor(
-    m: Sequence[Sequence[int]], k: int, mode: str
-) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """(rows, cols) of the first k x k minor of m, in lexicographic order,
-    with a unique optimum."""
-    subsets = list(combinations(range(len(m)), k))
-    for a in subsets:
-        rows = [m[i] for i in a]
-        for b in subsets:
-            if _unique([[r[j] for j in b] for r in rows], mode):
-                return a, b
-    return None
+def _minor_optima(m: Sequence[Sequence[int]], mode: str):
+    """optimum(A, B) -> (value, unique) for the minor of the integer matrix m
+    on row mask A and column mask B, |A| = |B| (see the module docstring).
+
+    States are memoized under (A << n) | B for the life of the returned
+    function.
+    """
+    n = len(m)
+    positive = mode == "MT"
+    memo = {0: (0, True)}
+
+    def expand(a: int, b: int):
+        r = a.bit_length() - 1
+        rest = a ^ (1 << r)
+        base = rest << n
+        row = m[r]
+        best, unique = -1, False
+        c = b
+        while c:
+            low = c & -c
+            c ^= low
+            # a stored pair is a nonempty tuple, so never falsy
+            value, sub_unique = memo.get(base | b ^ low) or expand(rest, b ^ low)
+            w = row[low.bit_length() - 1]
+            value += w
+            if value > best:
+                best, unique = value, sub_unique and (w > 0 or not positive)
+            elif value == best:
+                unique = False
+        memo[(a << n) | b] = got = (best, unique)
+        return got
+
+    def optimum(a: int, b: int):
+        return memo.get((a << n) | b) or expand(a, b)
+
+    return optimum
 
 
 def _search_unique(mu: DirectedDistance, mode: str):
     """Largest k with a unique k x k minor, bottom-up (see the module docstring)."""
     _, m = scaled_entries(mu)
+    optimum = _minor_optima(m, mode)
     found = None
     for k in range(1, mu.n + 1):
-        minor = _first_unique_minor(m, k, mode)
-        if minor is None:
+        subsets = [(s, sum(1 << i for i in s)) for s in combinations(range(mu.n), k)]
+        hit = next(((a, b) for a in subsets for b in subsets if optimum(a[1], b[1])[1]), None)
+        if hit is None:
             break
-        found = minor
+        found = hit
     if found is None:
         return 0, None
-    inst = MatchingInstance.from_distance(mu, *found)
-    _, pairs = max_matching(inst, mode="PMT")
-    return inst.k, (inst.rows, inst.cols, tuple(pairs))
+    (rows, a), (cols, b) = found
+    # the unique optimum: at each row, from the top down, the one column
+    # whose sub-minor attains the minor's value
+    pairs = []
+    while a:
+        value = optimum(a, b)[0]
+        r = a.bit_length() - 1
+        a ^= 1 << r
+        j = next(j for j in cols if b >> j & 1 and optimum(a, b ^ (1 << j))[0] + m[r][j] == value)
+        b ^= 1 << j
+        pairs.append((r, j))
+    pairs.sort()
+    return len(rows), (rows, cols, tuple(pairs))
 
 
 def dim_tight_span_witness(mu: DirectedDistance):

@@ -24,6 +24,7 @@ from .complexes import PolyComplex, enumerate_section, enumerate_tight_span, ske
 from .errors import DomainError, certify
 from .metrics import (
     DirectedDistance,
+    _shown,
     check_directed_tree_metric,
     distance_from_entries,
 )
@@ -54,13 +55,13 @@ class OrientedTree:
         vs = set(self.vertices)
         for tail, head, length in self.arcs:
             if tail not in vs:
-                raise DomainError("UnknownVertex", f"arc tail {tail!r}")
+                raise DomainError("UnknownVertex", f"arc tail {_shown(tail)}")
             if head not in vs:
-                raise DomainError("UnknownVertex", f"arc head {head!r}")
+                raise DomainError("UnknownVertex", f"arc head {_shown(head)}")
             if tail == head:
-                raise DomainError("NotATree", f"self-loop at {tail!r}")
+                raise DomainError("NotATree", f"self-loop at {_shown(tail)}")
             if length < 0:
-                raise DomainError("NegativeEntry", f"arc {tail!r}->{head!r} has negative length")
+                raise DomainError("NegativeEntry", f"arc {_shown(tail)}->{_shown(head)} has negative length")
         if len(self.arcs) != len(self.vertices) - 1:
             raise DomainError("NotATree", "edge count must be vertex count minus one")
         if self._reachable(self.vertices[0]) != vs:
@@ -89,9 +90,9 @@ class OrientedTree:
         """(length, traversed forward?) per edge along the unique x..y path."""
         vs = set(self.vertices)
         if x not in vs:
-            raise DomainError("UnknownVertex", repr(x))
+            raise DomainError("UnknownVertex", _shown(x))
         if y not in vs:
-            raise DomainError("UnknownVertex", repr(y))
+            raise DomainError("UnknownVertex", _shown(y))
         adj = self._adjacency()
         prev: Dict[str, Tuple[str, Fraction, bool]] = {}
         seen = {x}
@@ -148,14 +149,14 @@ class Realization:
         vs = set(self.tree.vertices)
         for s, sub in zip(self.terminals, self.subtrees):
             if not sub:
-                raise DomainError("EmptySubtree", f"terminal {s!r} has an empty subtree")
+                raise DomainError("EmptySubtree", f"terminal {_shown(s)} has an empty subtree")
             for v in sub:
                 if v not in vs:
-                    raise DomainError("UnknownVertex", f"subtree of {s!r} uses {v!r}")
+                    raise DomainError("UnknownVertex", f"subtree of {_shown(s)} uses {_shown(v)}")
             if len(set(sub)) != len(sub):
-                raise DomainError("DuplicateLabel", f"subtree of {s!r} repeats a vertex")
+                raise DomainError("DuplicateLabel", f"subtree of {_shown(s)} repeats a vertex")
             if not _connected_in_tree(self.tree, sub):
-                raise DomainError("DisconnectedSubtree", f"subtree of {s!r} is not connected")
+                raise DomainError("DisconnectedSubtree", f"subtree of {_shown(s)} is not connected")
 
     def subtree_of(self, s: str) -> Tuple[str, ...]:
         return self.subtrees[self.terminals.index(s)]
@@ -252,7 +253,7 @@ def realize_directed_tree_metric(mu: DirectedDistance) -> Realization:
         raise DomainError("NotDirectedTreeMetric", "directed tree metric conditions fail")
     r = _realization_from_complex(mu, enumerate_section(mu))
     for s, sub in zip(r.terminals, r.subtrees):
-        certify(len(sub) == 1, f"terminal {s!r} should occupy a single vertex")
+        certify(len(sub) == 1, f"terminal {_shown(s)} should occupy a single vertex")
     return r
 
 
@@ -289,7 +290,7 @@ def split_decomposition(r: Realization) -> List[SplitTerm]:
     """
     for s, sub in zip(r.terminals, r.subtrees):
         if len(sub) != 1:
-            raise DomainError("NonSingletonSubtrees", f"terminal {s!r} occupies {len(sub)} vertices")
+            raise DomainError("NonSingletonSubtrees", f"terminal {_shown(s)} occupies {len(sub)} vertices")
     at = {s: sub[0] for s, sub in zip(r.terminals, r.subtrees)}
     terms = []
     for tail, head, length in r.tree.arcs:

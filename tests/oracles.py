@@ -30,6 +30,11 @@ It solves the triangle LP, which therefore shares no code with the
 library's packing simplex, and comparing it with ``solve`` on packing
 programs checks that the all-slack start and the objective row kept in
 the tableau price exactly as the recomputation does.
+``hungarian_search_unique`` is the library's former rank/dimension
+search: one integer Hungarian and one alternating-cycle test per minor,
+and the witness's matching from ``max_matching``, where the library now
+answers every minor from one memoized recursion; it calls the library's
+Hungarian and cycle test, which the recursion does not use.
 ``fraction_is_metric``, ``fraction_path_condition`` and
 ``fraction_directed_tree_metric`` are the library's former scans over the
 Fraction entries; comparing them with the scans over the integer matrix
@@ -56,6 +61,7 @@ from dtspan import (
     equality_graph,
     evaluate_realization,
     in_tight_span,
+    max_matching,
     point,
     random_realization,
     retract_to_qplus,
@@ -66,6 +72,8 @@ from dtspan.errors import certify
 from dtspan.jsonio import distance_to_json, fraction_to_str, point_to_json
 from dtspan.geometry import _check_ground, _in_pi, _nonneg
 from dtspan.lp import OPTIMAL, UNBOUNDED, LPSolution
+from dtspan.metrics import scaled_entries
+from dtspan.rank import _has_alternating_cycle, _hungarian_max
 from dtspan.trees import KINDS
 
 F0 = Fraction(0)
@@ -538,6 +546,49 @@ def search_unique_top_down(mu: DirectedDistance, mode: str):
                     )
                     return k, (a, b, tuple((a[i], b[best[i]]) for i in range(k)))
     return 0, None
+
+
+def _unique(w: Sequence[Sequence], mode: str) -> bool:
+    """Whether the optimum of the given mode on the square matrix w is
+    attained exactly once (see ``is_unique_optimum``)."""
+    row_to_col, u, v = _hungarian_max(w)
+    k = len(w)
+    if mode == "MT" and any(w[i][row_to_col[i]] == 0 for i in range(k)):
+        return False
+    tight = [[u[i] + v[j] == w[i][j] for j in range(k)] for i in range(k)]
+    return not _has_alternating_cycle(tight, row_to_col)
+
+
+def _first_unique_minor(
+    m: Sequence[Sequence[int]], k: int, mode: str
+) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """(rows, cols) of the first k x k minor of m, in lexicographic order,
+    with a unique optimum."""
+    subsets = list(combinations(range(len(m)), k))
+    for a in subsets:
+        rows = [m[i] for i in a]
+        for b in subsets:
+            if _unique([[r[j] for j in b] for r in rows], mode):
+                return a, b
+    return None
+
+
+def hungarian_search_unique(mu: DirectedDistance, mode: str):
+    """Largest k with a unique k x k minor, bottom-up, one integer Hungarian
+    and one alternating-cycle search per minor; the witness's matching
+    comes from ``max_matching`` on the Fraction minor."""
+    _, m = scaled_entries(mu)
+    found = None
+    for k in range(1, mu.n + 1):
+        minor = _first_unique_minor(m, k, mode)
+        if minor is None:
+            break
+        found = minor
+    if found is None:
+        return 0, None
+    inst = MatchingInstance.from_distance(mu, *found)
+    _, pairs = max_matching(inst, mode="PMT")
+    return inst.k, (inst.rows, inst.cols, tuple(pairs))
 
 
 def fraction_is_metric(mu: DirectedDistance) -> bool:

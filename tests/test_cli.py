@@ -328,6 +328,38 @@ def test_duplicate_huge_labels_give_a_short_error(files, capsys):
     assert len(printed.encode()) < 300
 
 
+HUGE = "v" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, key, patch, code",
+    [
+        # a 4000-digit negative entry parses, then fails the sign check
+        (["validate", "m"], "m", {"matrix": [["0", "-" + "9" * 4000], ["1", "0"]]}, "NegativeEntry"),
+        (["validate", "m"], "m", {"matrix": [["9" * 4000, "1"], ["1", "0"]]}, "NonzeroDiagonal"),
+        (
+            ["flow", "max", "n", "m"],
+            "n",
+            {"edges": TRIANGLE_NET["edges"] + [{"tail": "s", "head": HUGE, "cap": 1}]},
+            "InvalidNetwork",
+        ),
+        (["decompose", "r"], "r", {"subtrees": {"a": ["u0"], "b": [HUGE]}}, "UnknownVertex"),
+    ],
+    ids=["negative-entry", "nonzero-diagonal", "flow-unknown-vertex", "subtree-unknown-vertex"],
+)
+def test_huge_offending_values_give_short_errors(files, capsys, argv, key, patch, code):
+    # the message quotes a bounded prefix of the offending value or name
+    _, write = files
+    inputs = {"m": ONE_WAY, "n": TRIANGLE_NET, "r": TWO_TREE}
+    paths = {k: write(f"{k}.json", obj) for k, obj in inputs.items()}
+    paths[key] = write("bad.json", dict(inputs[key], **patch))
+    exit_code = main([paths.get(a, a) for a in argv])
+    printed = capsys.readouterr().out
+    assert exit_code == 1
+    assert json.loads(printed)["error"]["code"] == code
+    assert len(printed.encode()) < 300
+
+
 def _positionals(parser, path):
     """An argv tail filling every positional: the first choice, else ``path``."""
     return [

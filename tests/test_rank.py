@@ -3,6 +3,7 @@ matching enumeration on small instances."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,12 +13,23 @@ from dtspan import (
     dim_tight_span,
     dim_tight_span_witness,
     distance_from_entries,
+    evaluate_realization,
     is_unique_optimum,
     max_matching,
+    random_realization,
     tropical_rank,
     tropical_rank_witness,
 )
-from oracles import brute_force_unique, random_distance, scan_cases, search_unique_top_down
+from dtspan.metrics import scaled_entries
+from dtspan.rank import _minor_optima
+from dtspan.trees import KINDS
+from oracles import (
+    brute_force_unique,
+    hungarian_search_unique,
+    random_distance,
+    scan_cases,
+    search_unique_top_down,
+)
 
 ALL_ONE = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 LINE = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
@@ -137,6 +149,50 @@ def test_bottom_up_search_matches_top_down():
             assert got == search_unique_top_down(mu, mode)
             ranks.add((mode, got[0]))
     assert {("MT", 0), ("MT", 2), ("MT", 3), ("PMT", 2), ("PMT", 4)} <= ranks
+
+
+def test_memoized_search_matches_hungarian_search():
+    # the recursion finds the (k, witness) that one Hungarian per minor finds
+    rng = random.Random(707)
+    draws = []
+    for i in range(120):
+        n = 1 + i % 8
+        kind = i % 3
+        if kind == 0:
+            draws.append(random_distance(rng, n, den=1))
+        elif kind == 1:
+            draws.append(random_distance(rng, n))
+        else:
+            draws.append(random_distance(rng, n, top=2, zeros=0.6, den=1))
+    # rank <= 2 at n = 7, 8: the scan of every 3 x 3 minor fails
+    trees = [
+        evaluate_realization(random_realization(KINDS[i % 3], 7 + i % 2, rng.randrange(10**6)))
+        for i in range(10)
+    ]
+    for mu in draws + trees:
+        for mode, fn in (("MT", dim_tight_span_witness), ("PMT", tropical_rank_witness)):
+            assert fn(mu) == hungarian_search_unique(mu, mode)
+    assert all(tropical_rank(mu) <= 2 for mu in trees)
+
+
+def test_minor_recursion_matches_is_unique_optimum():
+    rng = random.Random(808)
+    seen = set()
+    for i in range(30):
+        n = 1 + i % 5
+        mu = random_distance(rng, n, top=3, zeros=0.3, den=1 + i % 2)
+        scale, m = scaled_entries(mu)
+        for mode in ("MT", "PMT"):
+            optimum = _minor_optima(m, mode)
+            for k in range(1, n + 1):
+                for a in combinations(range(n), k):
+                    for b in combinations(range(n), k):
+                        value, unique = optimum(sum(1 << x for x in a), sum(1 << x for x in b))
+                        inst = MatchingInstance.from_distance(mu, a, b)
+                        assert unique == is_unique_optimum(inst, mode=mode)
+                        assert value == scale * max_matching(inst, mode=mode)[0]
+                        seen.add((mode, unique))
+    assert len(seen) == 4
 
 
 def test_rank_dimension_sandwich():
