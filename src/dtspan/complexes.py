@@ -13,9 +13,11 @@ pipeline:
 2. take each vertex's binding set (zero coordinates and tight couplings)
    from double description itself: it is the ray's zero set with the
    homogenizing bit 2n cleared, so no coordinate is summed or compared.
-   Keep the vertices whose binding set is minimal: every column or row that
-   no tight coupling covers is a zero coordinate, one AND per column and
-   row.  Only these vertices are written out as Fractions;
+   The bit layout is the binding mask that ``geometry`` defines and reads
+   at single points.  Keep the vertices whose binding set is minimal:
+   every column or row that no tight coupling covers is a zero coordinate,
+   the same test (``geometry._uncovered``) that places a point in T.  Only
+   these vertices are written out as Fractions;
 3. read the faces of T off binding sets: a face's binding set is the
    intersection of its vertices' binding sets, so the candidates are the
    intersection closure of the vertex bitmasks.  Each candidate is the
@@ -41,7 +43,7 @@ from math import gcd
 from typing import List, Sequence, Tuple
 
 from .errors import DomainError, certify
-from .geometry import ExtPoint, dinf, free_components
+from .geometry import ExtPoint, _mask_edges, _sides, _uncovered, dinf, free_components
 from .metrics import DirectedDistance, scaled_entries
 
 ENUM_CAP = 5
@@ -104,7 +106,7 @@ def _extreme_rays(m: Sequence[Sequence[int]]) -> List[Ray]:
 def _vertex_rays(mu: DirectedDistance) -> Tuple[int, List[Ray]]:
     """(L, the rays of the cone over L * mu that are vertices of P), each ray
     with its binding mask: its zero set with the homogenizing bit 2n
-    cleared, numbered as ``_edge_bit`` numbers tight couplings."""
+    cleared, which is the layout of ``geometry._edge_bit``."""
     scale, m = scaled_entries(mu)
     off = ~(1 << (2 * mu.n))
     return scale, [(r, z & off) for r, z in _extreme_rays(m) if r[-1] != 0]
@@ -180,20 +182,10 @@ class PolyComplex:
         ]
 
 
-def _edge_bit(n: int, s: int, t: int) -> int:
-    """Bit of tight coupling (s, t) in a binding mask.  Masks number their
-    members as double description numbers constraints: zero column s is
-    bit s, zero row t bit n + t, coupling (s, t) bit 2n + 1 + s*n + t."""
-    return 1 << (2 * n + 1 + s * n + t)
-
-
 def _face(n: int, ids: Tuple[int, ...], b: int) -> Face:
-    tight = b >> (2 * n + 1)
-    edges = tuple(divmod(i, n) for i in range(n * n) if tight >> i & 1)
-    zc = tuple(s for s in range(n) if b >> s & 1)
-    zr = tuple(t for t in range(n) if b >> (n + t) & 1)
-    free = free_components(n, tight, b & ((1 << (2 * n)) - 1))
-    return Face(ids, len(free), edges, zc, zr, tuple(free))
+    zc, zr = _sides(n, b)
+    free = free_components(n, b)
+    return Face(ids, len(free), _mask_edges(n, b), zc, zr, tuple(free))
 
 
 def enumerate_tight_span(mu: DirectedDistance) -> PolyComplex:
@@ -201,13 +193,10 @@ def enumerate_tight_span(mu: DirectedDistance) -> PolyComplex:
     if mu.n > ENUM_CAP:
         raise DomainError("GroundSetTooLarge", f"n={mu.n} exceeds enumeration cap {ENUM_CAP}")
     n = mu.n
-    # per column and then per row, its zero bit with the bits of its couplings
-    needs = [1 << s | sum(_edge_bit(n, s, t) for t in range(n)) for s in range(n)]
-    needs += [1 << (n + t) | sum(_edge_bit(n, s, t) for s in range(n)) for t in range(n)]
 
     def minimal(b: int) -> bool:
         # every column and row that no tight coupling covers is a zero coordinate
-        return all(b & need for need in needs)
+        return not _uncovered(n, b) & ~b
 
     scale, rays = _vertex_rays(mu)
     found = sorted(

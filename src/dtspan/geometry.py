@@ -15,11 +15,17 @@ Main tools:
 
 - dinf_plus / dinf: the asymmetric sup-distances making T a directed metric
   space;
+- binding masks: one integer per point holding its zero coordinates and
+  tight couplings (zero column s at bit s, zero row t at bit n + t,
+  coupling (s, t) at bit 2n + 1 + s*n + t), read in one pass over the
+  couplings.  The layout is the constraint numbering of double
+  description, so ``complexes`` reads the faces of T from the same masks;
 - equality_graph: the bipartite graph of tight couplings at a point, which
   governs minimality and local dimension; its components are searched over
-  2n-bit adjacency masks, by the same routine that ``complexes`` runs on
-  the binding masks of faces;
-- classify_membership: where a point sits relative to Pi, P, T, Q+;
+  2n-bit adjacency masks;
+- classify_membership: where a point sits relative to Pi, P, T, Q+, from
+  the columns and rows its mask leaves uncovered: T needs each of them to
+  be a zero coordinate, Q+ needs none;
 - canonical_points: the distance rows/columns of an element and the two
   one-sided minimal representatives, all landing in T when expected;
 - the two nonexpansive retractions (P onto T, T onto Q+) as closed-form
@@ -138,15 +144,15 @@ class EqualityGraph:
         covered = {t for _, t in self.edges}
         return frozenset(t for t in range(self.n) if t not in covered)
 
-    def _tight_mask(self) -> int:
-        """The edges as an n*n-bit mask: coupling (s, t) is bit s*n + t."""
-        return sum(1 << (s * self.n + t) for s, t in self.edges)
+    def _mask(self) -> int:
+        """The edges as a binding mask without zero coordinates."""
+        return sum(_edge_bit(self.n, s, t) for s, t in self.edges)
 
     def components(self) -> List[Tuple[frozenset, frozenset]]:
         """Connected components as (column set, row set), isolated vertices
         appearing as singletons.  Deterministic order: components holding a
         column by their smallest column, then the isolated rows by index."""
-        sides = [_sides(self.n, c) for c in _component_masks(self.n, self._tight_mask())]
+        sides = [_sides(self.n, c) for c in _component_masks(self.n, self._mask())]
         return [(frozenset(cols), frozenset(rows)) for cols, rows in sides]
 
     def free_components(
@@ -158,14 +164,63 @@ class EqualityGraph:
         n, zc, zr = self.n, set(zero_cols), set(zero_rows)
         zero = sum(1 << i for i in range(n) if i in zc)
         zero |= sum(1 << (n + i) for i in range(n) if i in zr)
-        return free_components(n, self._tight_mask(), zero)
+        return free_components(n, self._mask() | zero)
 
 
-def _component_masks(n: int, tight: int) -> List[int]:
-    """Connected components of the equality graph with tight couplings
-    ``tight`` (bit s*n + t for (s, t)), as 2n-bit masks with column s at bit
-    s and row t at bit n + t, in the order of their lowest bits."""
-    adj = [0] * (2 * n)
+# -- binding masks -------------------------------------------------------------
+
+
+def _edge_bit(n: int, s: int, t: int) -> int:
+    """Bit of tight coupling (s, t) in a binding mask.  Zero column s is bit
+    s, zero row t bit n + t, and coupling (s, t) bit 2n + 1 + s*n + t: the
+    numbers double description gives the constraints of P, bit 2n (the
+    homogenizing coordinate) left clear."""
+    return 1 << (2 * n + 1 + s * n + t)
+
+
+def _binding_mask(mu: DirectedDistance, p: ExtPoint) -> Optional[int]:
+    """The zero coordinates and tight couplings of p, from one pass over the
+    couplings; None when p violates a coupling, that is, lies outside Pi."""
+    b, bit = 0, _edge_bit(mu.n, 0, 0)
+    for x, es in zip(p.col, mu.entries):
+        for y, m in zip(p.row, es):
+            v = x + y
+            if v == m:
+                b |= bit
+            elif v < m:
+                return None
+            bit <<= 1
+    for i, x in enumerate(p.coords()):
+        if x == 0:
+            b |= 1 << i
+    return b
+
+
+def _uncovered(n: int, b: int) -> int:
+    """The columns and rows that no tight coupling of binding mask b covers,
+    laid out like its zero coordinates.  A point of P is in T when these are
+    all zero coordinates, and in Q+ when there are none."""
+    tight, all_rows = b >> (2 * n + 1), (1 << n) - 1
+    cols = rows = 0
+    for s in range(n):
+        covered = tight >> (s * n) & all_rows
+        if covered:
+            cols |= 1 << s
+        rows |= covered
+    return (cols | rows << n) ^ ((1 << (2 * n)) - 1)
+
+
+def _mask_edges(n: int, b: int) -> Tuple[Tuple[int, int], ...]:
+    """The tight couplings (s, t) of binding mask b, in order."""
+    tight = b >> (2 * n + 1)
+    return tuple(divmod(i, n) for i in range(n * n) if tight >> i & 1)
+
+
+def _component_masks(n: int, b: int) -> List[int]:
+    """Connected components of the tight couplings of binding mask b, as
+    2n-bit masks laid out like its zero coordinates, in the order of their
+    lowest bits."""
+    adj, tight = [0] * (2 * n), b >> (2 * n + 1)
     while tight:
         low = tight & -tight
         s, t = divmod(low.bit_length() - 1, n)
@@ -189,18 +244,19 @@ def _component_masks(n: int, tight: int) -> List[int]:
     return comps
 
 
-def free_components(n: int, tight: int, zero: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """The components of ``_component_masks(n, tight)`` disjoint from the
-    2n-bit mask ``zero`` of zero coordinates, as sorted (column tuple, row
-    tuple) pairs in sorted order.  The one component search behind
-    ``EqualityGraph`` and the faces of ``complexes``."""
-    free = [_sides(n, c) for c in _component_masks(n, tight) if not c & zero]
+def free_components(n: int, b: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """The components of ``_component_masks(n, b)`` touching none of b's zero
+    coordinates, as sorted (column tuple, row tuple) pairs in sorted order.
+    The one reading of directions behind ``EqualityGraph``,
+    ``face_dimension`` and the faces of ``complexes``."""
+    free = [_sides(n, c) for c in _component_masks(n, b) if not c & b]
     free.sort()
     return free
 
 
 def _sides(n: int, c: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The columns and the rows of a 2n-bit component mask."""
+    """The columns and the rows among the low 2n bits of a mask: the members
+    of a component, or the zero coordinates of a binding mask."""
     return tuple(s for s in range(n) if c >> s & 1), tuple(t for t in range(n) if c >> (n + t) & 1)
 
 
@@ -233,23 +289,6 @@ def norm_pair(p: ExtPoint) -> Fraction:
 # -- membership --------------------------------------------------------------
 
 
-def _tight_edges(mu: DirectedDistance, p: ExtPoint) -> frozenset:
-    n = mu.n
-    return frozenset(
-        (s, t)
-        for s in range(n)
-        for t in range(n)
-        if p.col[s] + p.row[t] == mu.entries[s][t]
-    )
-
-
-def _in_pi(mu: DirectedDistance, p: ExtPoint) -> bool:
-    n = mu.n
-    return all(
-        p.col[s] + p.row[t] >= mu.entries[s][t] for s in range(n) for t in range(n)
-    )
-
-
 def _nonneg(p: ExtPoint) -> bool:
     return all(x >= 0 for x in p.coords())
 
@@ -257,9 +296,10 @@ def _nonneg(p: ExtPoint) -> bool:
 def equality_graph(mu: DirectedDistance, p: ExtPoint) -> EqualityGraph:
     """Tight couplings at p; p must satisfy all coupling constraints."""
     _check_ground(mu, p)
-    if not _in_pi(mu, p):
+    b = _binding_mask(mu, p)
+    if b is None:
         raise DomainError("NotInPolyhedron", "point violates a coupling constraint")
-    return EqualityGraph(mu.n, _tight_edges(mu, p))
+    return EqualityGraph(mu.n, frozenset(_mask_edges(mu.n, b)))
 
 
 def _check_ground(mu: DirectedDistance, p: ExtPoint):
@@ -274,24 +314,22 @@ def classify_membership(mu: DirectedDistance, p: ExtPoint) -> Membership:
     coupling; minimality in Pi needs every coordinate covered.
     """
     _check_ground(mu, p)
-    return _membership(mu, p)
+    return _membership(mu, p)[0]
 
 
-def _membership(mu: DirectedDistance, p: ExtPoint) -> Membership:
-    if not _in_pi(mu, p):
-        return Membership.OUTSIDE
-    k = EqualityGraph(mu.n, _tight_edges(mu, p))
-    iso_c, iso_r = k.isolated_cols(), k.isolated_rows()
-    fully_covered = not iso_c and not iso_r
+def _membership(mu: DirectedDistance, p: ExtPoint) -> Tuple[Membership, Optional[int]]:
+    """Where p sits, with its binding mask (None outside Pi)."""
+    b = _binding_mask(mu, p)
+    if b is None:
+        return Membership.OUTSIDE, b
+    uncovered = _uncovered(mu.n, b)
     if _nonneg(p):
-        if fully_covered:
-            return Membership.QPLUS
-        if all(p.col[s] == 0 for s in iso_c) and all(p.row[t] == 0 for t in iso_r):
-            return Membership.T_NOT_QPLUS
-        return Membership.P_NOT_T
-    if fully_covered:
-        return Membership.Q_NOT_NONNEG
-    return Membership.PI_ONLY
+        if not uncovered:
+            return Membership.QPLUS, b
+        if not uncovered & ~b:
+            return Membership.T_NOT_QPLUS, b
+        return Membership.P_NOT_T, b
+    return (Membership.PI_ONLY if uncovered else Membership.Q_NOT_NONNEG), b
 
 
 _IN_T = (Membership.T_NOT_QPLUS, Membership.QPLUS)
@@ -346,12 +384,10 @@ def face_dimension(mu: DirectedDistance, p: ExtPoint):
     directions a list of (column tuple, row tuple) index pairs.
     """
     _check_ground(mu, p)
-    if not in_tight_span(mu, p):
+    where, b = _membership(mu, p)
+    if where not in _IN_T:
         raise DomainError("NotInTightSpan", "face dimension is defined on the tight span")
-    k = EqualityGraph(mu.n, _tight_edges(mu, p))
-    free = k.free_components(
-        [s for s in range(mu.n) if p.col[s] == 0], [t for t in range(mu.n) if p.row[t] == 0]
-    )
+    free = free_components(mu.n, b)
     return len(free), free
 
 
@@ -369,7 +405,7 @@ def retract_to_tight_span(mu: DirectedDistance, p: ExtPoint) -> ExtPoint:
     single sweep lands in T.
     """
     _check_ground(mu, p)
-    if not (_in_pi(mu, p) and _nonneg(p)):
+    if _binding_mask(mu, p) is None or not _nonneg(p):
         raise DomainError("NotInP", "retraction is defined on P")
     n, e = mu.n, mu.entries
     col, row = list(p.col), list(p.row)
@@ -377,7 +413,7 @@ def retract_to_tight_span(mu: DirectedDistance, p: ExtPoint) -> ExtPoint:
         row[i] = max(F0, max(e[s][i] - col[s] for s in range(n)))
         col[i] = max(F0, max(e[i][t] - row[t] for t in range(n)))
     out = ExtPoint(p.ground, tuple(col), tuple(row))
-    certify(_membership(mu, out) in _IN_T, "retraction left the tight span")
+    certify(_membership(mu, out)[0] in _IN_T, "retraction left the tight span")
     return out
 
 
@@ -432,7 +468,7 @@ def retract_to_qplus(mu: DirectedDistance, p: ExtPoint) -> ExtPoint:
     _subset_sweep(col, row, [min(col[s] + row[t] - e[s][t] for t in range(n)) for s in range(n)])
     _subset_sweep(row, col, [min(col[s] + row[t] - e[s][t] for s in range(n)) for t in range(n)])
     out = ExtPoint(p.ground, tuple(col), tuple(row))
-    certify(_membership(mu, out) is Membership.QPLUS, "retraction left Q+")
+    certify(_membership(mu, out)[0] is Membership.QPLUS, "retraction left Q+")
     return out
 
 

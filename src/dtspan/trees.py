@@ -64,7 +64,7 @@ class OrientedTree:
                 raise DomainError("NegativeEntry", f"arc {_shown(tail)}->{_shown(head)} has negative length")
         if len(self.arcs) != len(self.vertices) - 1:
             raise DomainError("NotATree", "edge count must be vertex count minus one")
-        if self._reachable(self.vertices[0]) != vs:
+        if _walk(self, self.vertices[0], vs).keys() != vs:
             raise DomainError("NotATree", "underlying graph is disconnected")
 
     def _adjacency(self) -> Dict[str, List[Tuple[str, Fraction, bool]]]:
@@ -74,18 +74,6 @@ class OrientedTree:
             adj[head].append((tail, length, False))
         return adj
 
-    def _reachable(self, start: str) -> Set[str]:
-        adj = self._adjacency()
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, _, _ in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
     def path_steps(self, x: str, y: str) -> List[Tuple[Fraction, bool]]:
         """(length, traversed forward?) per edge along the unique x..y path."""
         vs = set(self.vertices)
@@ -93,19 +81,7 @@ class OrientedTree:
             raise DomainError("UnknownVertex", _shown(x))
         if y not in vs:
             raise DomainError("UnknownVertex", _shown(y))
-        adj = self._adjacency()
-        prev: Dict[str, Tuple[str, Fraction, bool]] = {}
-        seen = {x}
-        stack = [x]
-        while stack:
-            v = stack.pop()
-            if v == y:
-                break
-            for w, length, forward in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    prev[w] = (v, length, forward)
-                    stack.append(w)
+        prev = _walk(self, x, vs)
         steps = []
         v = y
         while v != x:
@@ -120,14 +96,27 @@ def tree_distance(tree: OrientedTree, x: str, y: str) -> Fraction:
     return sum((length for length, forward in tree.path_steps(x, y) if forward), F0)
 
 
+def _walk(
+    tree: OrientedTree, start: str, allowed: Set[str]
+) -> Dict[str, Optional[Tuple[str, Fraction, bool]]]:
+    """Depth-first search from start through the vertices in allowed.  Maps
+    each vertex reached to (previous vertex, length, traversed forward?) of
+    the edge it was reached by, and start to None."""
+    adj = tree._adjacency()
+    prev: Dict[str, Optional[Tuple[str, Fraction, bool]]] = {start: None}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for w, length, forward in adj[v]:
+            if w in allowed and w not in prev:
+                prev[w] = (v, length, forward)
+                stack.append(w)
+    return prev
+
+
 def is_directed_path(tree: OrientedTree) -> bool:
     """True when every vertex has at most one entering and one leaving arc."""
-    indeg = {v: 0 for v in tree.vertices}
-    outdeg = {v: 0 for v in tree.vertices}
-    for tail, head, _ in tree.arcs:
-        outdeg[tail] += 1
-        indeg[head] += 1
-    return all(indeg[v] <= 1 and outdeg[v] <= 1 for v in tree.vertices)
+    return _induced_directed_path(tree, tree.vertices)
 
 
 @dataclass(frozen=True)
@@ -153,27 +142,14 @@ class Realization:
             for v in sub:
                 if v not in vs:
                     raise DomainError("UnknownVertex", f"subtree of {_shown(s)} uses {_shown(v)}")
-            if len(set(sub)) != len(sub):
+            inside = set(sub)
+            if len(inside) != len(sub):
                 raise DomainError("DuplicateLabel", f"subtree of {_shown(s)} repeats a vertex")
-            if not _connected_in_tree(self.tree, sub):
+            if _walk(self.tree, sub[0], inside).keys() != inside:
                 raise DomainError("DisconnectedSubtree", f"subtree of {_shown(s)} is not connected")
 
     def subtree_of(self, s: str) -> Tuple[str, ...]:
         return self.subtrees[self.terminals.index(s)]
-
-
-def _connected_in_tree(tree: OrientedTree, sub: Sequence[str]) -> bool:
-    inside = set(sub)
-    adj = tree._adjacency()
-    seen = {sub[0]}
-    stack = [sub[0]]
-    while stack:
-        v = stack.pop()
-        for w, _, _ in adj[v]:
-            if w in inside and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == inside
 
 
 def _induced_directed_path(tree: OrientedTree, sub: Sequence[str]) -> bool:
@@ -294,27 +270,12 @@ def split_decomposition(r: Realization) -> List[SplitTerm]:
     at = {s: sub[0] for s, sub in zip(r.terminals, r.subtrees)}
     terms = []
     for tail, head, length in r.tree.arcs:
-        tail_side = _component_without(r.tree, (tail, head), tail)
+        tail_side = _walk(r.tree, tail, set(r.tree.vertices) - {head})
         side_a = tuple(s for s in r.terminals if at[s] in tail_side)
         side_b = tuple(s for s in r.terminals if at[s] not in tail_side)
         if side_a and side_b:
             terms.append(SplitTerm(side_a, side_b, length))
     return terms
-
-
-def _component_without(tree: OrientedTree, cut: Tuple[str, str], start: str) -> Set[str]:
-    adj = tree._adjacency()
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w, _, _ in adj[v]:
-            if {v, w} == set(cut):
-                continue
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 def recombine_splits(terms: Sequence[SplitTerm], labels: Sequence[str]) -> DirectedDistance:

@@ -18,6 +18,10 @@ and its bookkeeping of zero and binding sets as bitmasks.
 them with the closed-form retractions checks every step length.
 ``binding_mask`` recomputes a vertex's binding set from Fraction sums,
 where the library reads it off double description's zero set;
+``set_membership`` and ``set_tight_edges`` are the library's former
+membership test and equality graph over sets (a feasibility scan, a
+second scan for tight couplings, then the uncovered columns and rows as
+sets), where the library reads one binding mask per point;
 ``set_components`` is the library's former component search over sets,
 where it now searches 2n-bit adjacency masks; ``json_dumps`` is the
 library's former writer, ``to_jsonable`` followed by CPython's
@@ -70,7 +74,6 @@ from dtspan import (
 )
 from dtspan.errors import certify
 from dtspan.jsonio import distance_to_json, fraction_to_str, point_to_json
-from dtspan.geometry import _check_ground, _in_pi, _nonneg
 from dtspan.lp import OPTIMAL, UNBOUNDED, LPSolution
 from dtspan.metrics import scaled_entries
 from dtspan.rank import _has_alternating_cycle, _hungarian_max
@@ -323,6 +326,54 @@ def set_free_components(n: int, edges, zero_cols, zero_rows):
     ]
     free.sort()
     return free
+
+
+def _check_ground(mu: DirectedDistance, p: ExtPoint):
+    if mu.ground != p.ground:
+        raise DomainError("GroundSetMismatch", "point and distance ground sets differ")
+
+
+def _in_pi(mu: DirectedDistance, p: ExtPoint) -> bool:
+    n = mu.n
+    return all(
+        p.col[s] + p.row[t] >= mu.entries[s][t] for s in range(n) for t in range(n)
+    )
+
+
+def _nonneg(p: ExtPoint) -> bool:
+    return all(x >= 0 for x in p.coords())
+
+
+def set_tight_edges(mu: DirectedDistance, p: ExtPoint) -> FrozenSet[Tuple[int, int]]:
+    n = mu.n
+    return frozenset(
+        (s, t)
+        for s in range(n)
+        for t in range(n)
+        if p.col[s] + p.row[t] == mu.entries[s][t]
+    )
+
+
+def set_membership(mu: DirectedDistance, p: ExtPoint) -> Membership:
+    """Where p sits relative to Pi, P, T, Q+, over sets: the couplings are
+    scanned for feasibility and again for tightness, and the columns and
+    rows no tight coupling covers are collected as sets."""
+    _check_ground(mu, p)
+    if not _in_pi(mu, p):
+        return Membership.OUTSIDE
+    edges = set_tight_edges(mu, p)
+    iso_c = set(range(mu.n)) - {s for s, _ in edges}
+    iso_r = set(range(mu.n)) - {t for _, t in edges}
+    fully_covered = not iso_c and not iso_r
+    if _nonneg(p):
+        if fully_covered:
+            return Membership.QPLUS
+        if all(p.col[s] == 0 for s in iso_c) and all(p.row[t] == 0 for t in iso_r):
+            return Membership.T_NOT_QPLUS
+        return Membership.P_NOT_T
+    if fully_covered:
+        return Membership.Q_NOT_NONNEG
+    return Membership.PI_ONLY
 
 
 def _binding(mu: DirectedDistance, p: ExtPoint) -> FrozenSet:
@@ -735,6 +786,26 @@ def random_q_point(rng, mu: DirectedDistance) -> ExtPoint:
     """Point of Q, shifted off the canonical section in either direction."""
     shift = Fraction(rng.randint(-6, 6), rng.randint(1, 2))
     return random_qplus_point(rng, mu).fiber_shift(shift)
+
+
+def random_points_of_every_class(rng, mu: DirectedDistance) -> List[ExtPoint]:
+    """Points of P, T, Q+ and Q from the generators above, each followed by
+    two moves off it: a shift along the all-ones line that makes the first
+    column negative (Pi, or Q, outside the orthant; couplings unchanged)
+    and a column lowered past its loosest coupling (outside Pi)."""
+    out = []
+    for p in (
+        random_p_point(rng, mu),
+        random_t_point(rng, mu),
+        random_qplus_point(rng, mu),
+        random_q_point(rng, mu),
+    ):
+        s = rng.randrange(mu.n)
+        slack = min(p.col[s] + p.row[t] - mu.entries[s][t] for t in range(mu.n))
+        col = list(p.col)
+        col[s] -= slack + Fraction(1, rng.randint(1, 3))
+        out += [p, p.fiber_shift(-p.col[0] - 1), ExtPoint(mu.ground, tuple(col), p.row)]
+    return out
 
 
 # -- network generators ----------------------------------------------------------

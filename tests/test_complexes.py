@@ -30,9 +30,12 @@ from oracles import (
     affine_rank,
     binding_mask,
     random_distance,
+    random_points_of_every_class,
     random_t_point,
     set_components,
     set_free_components,
+    set_membership,
+    set_tight_edges,
     vertex_oracle,
     witness_tight_span,
     zero_set_polyhedron_vertices,
@@ -162,6 +165,38 @@ def test_binding_masks_and_components_match_oracles():
                 d, dirs = face_dimension(mu, p)
                 assert dirs == set_free_components(n, equality_graph(mu, p).edges, zc, zr)
                 assert d == len(dirs)
+    # membership, tight couplings and face dimension, all read from one
+    # binding mask per point, against the set oracles on points of every
+    # class, n = 1..5, integer and rational entries
+    seen = {}
+    for n, count in ((1, 6), (2, 12), (3, 16), (4, 12), (5, 8)):
+        for k in range(count):
+            mu = random_distance(rng, n, zeros=0.3 if k % 3 == 0 else 0.0, den=1 if k % 2 else 5)
+            for p in random_points_of_every_class(rng, mu):
+                where = classify_membership(mu, p)
+                assert where is set_membership(mu, p)
+                seen.setdefault(n, set()).add(where)
+                if where is Membership.OUTSIDE:
+                    with pytest.raises(DomainError) as err:
+                        equality_graph(mu, p)
+                    assert err.value.code == "NotInPolyhedron"
+                else:
+                    assert equality_graph(mu, p).edges == set_tight_edges(mu, p)
+                if where not in (Membership.T_NOT_QPLUS, Membership.QPLUS):
+                    with pytest.raises(DomainError) as err:
+                        face_dimension(mu, p)
+                    assert err.value.code == "NotInTightSpan"
+                    continue
+                zc = [s for s in range(n) if p.col[s] == 0]
+                zr = [s for s in range(n) if p.row[s] == 0]
+                d, dirs = face_dimension(mu, p)
+                assert dirs == set_free_components(n, set_tight_edges(mu, p), zc, zr)
+                assert d == len(dirs)
+    # for n <= 2, T = Q+: an uncovered zero column leaves every row
+    # positive, and a positive row t is then covered only by (t, t), which
+    # forces that row to zero
+    assert all(seen[n] == set(Membership) - {Membership.T_NOT_QPLUS} for n in (1, 2))
+    assert all(seen[n] == set(Membership) for n in (3, 4, 5))
 
 
 def test_integer_double_description_with_mixed_denominators():

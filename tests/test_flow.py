@@ -267,17 +267,17 @@ def test_tighten_extension():
     assert tighten_extension(mu, mu).d.entries == mu.entries
 
 
-def test_tight_extension_rejects_inflated_point():
+INFLATED = [
+    [F0, Fraction(1), Fraction(1), Fraction(5)],
+    [Fraction(1), F0, Fraction(1), Fraction(5)],
+    [Fraction(1), Fraction(1), F0, Fraction(5)],
+    [Fraction(5), Fraction(5), Fraction(5), F0],
+]
+
+
+def test_tight_extension_rejects_inflated_point(monkeypatch):
     mu = distance_from_entries([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    five = Fraction(5)
-    labels = mu.labels + ("far",)
-    entries = [
-        [F0, Fraction(1), Fraction(1), five],
-        [Fraction(1), F0, Fraction(1), five],
-        [Fraction(1), Fraction(1), F0, five],
-        [five, five, five, F0],
-    ]
-    d = distance_from_entries(entries, labels)
+    d = distance_from_entries(INFLATED, mu.labels + ("far",))
     assert not is_tight_extension(mu, d)
     tight = tighten_extension(mu, d)
     assert is_tight_extension(mu, tight)
@@ -286,6 +286,42 @@ def test_tight_extension_rejects_inflated_point():
     for s in mu.labels:
         for t in mu.labels:
             assert tight.d.value(s, t) == mu.value(s, t)
+    # a sweep whose retraction leaves the points where they are fails the
+    # tightness certificate
+    monkeypatch.setattr(flow, "retract_to_tight_span", lambda mu, p: p)
+    with pytest.raises(DomainError) as err:
+        tighten_extension(mu, d)
+    assert err.value.code == "InternalCertificate"
+
+
+# The same identity retraction under -O, where an assert would be gone.
+IDENTITY_RETRACTION = """
+import sys
+from dtspan import DomainError, distance_from_entries, flow, tighten_extension
+
+entries = [[0, 1, 1, 5], [1, 0, 1, 5], [1, 1, 0, 5], [5, 5, 5, 0]]
+d = distance_from_entries(entries, ("x0", "x1", "x2", "far"))
+mu = distance_from_entries([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+flow.retract_to_tight_span = lambda mu, p: p
+try:
+    tighten_extension(mu, d)
+    code = "passed"
+except DomainError as err:
+    code = err.code
+print(sys.flags.optimize, code)
+"""
+
+
+def test_untightened_extension_fails_certificate_under_optimize():
+    src = str(Path(dtspan.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", IDENTITY_RETRACTION],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        check=True,
+    )
+    assert out.stdout.split() == ["1", "InternalCertificate"]
 
 
 def test_pullback_of_tight_span_points_is_tight():
