@@ -2,8 +2,8 @@
 
 One subcommand per pipeline stage; JSON in, JSON out (stdout or --out),
 DOT on the side where a graph structure is available.  Exit codes:
-0 success, 1 domain error (with a machine-readable error object on
-stdout), 2 usage error.
+0 success, 1 domain error, 2 usage error; both failures write a
+machine-readable error object on stdout.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .metrics import (
     check_directed_tree_metric,
     check_path_condition,
     check_tree_condition,
+    _shown,
     is_metric,
 )
 from .rank import dim_tight_span_witness, tropical_rank_witness
@@ -217,10 +218,18 @@ def _cmd_decompose(args) -> dict:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ``DomainError("UsageError")``,
+    reported by ``main`` like every other failure, not argparse's exit."""
+
+    def error(self, message):
+        raise DomainError("UsageError", message)
+
+
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="dtspan",
         description="Directed tight spans, tropical polytopes, and oriented-tree realizations.",
     )
@@ -282,9 +291,25 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def _parse(argv):
+    """The parsed arguments.  A usage error quotes every argument it echoes
+    through ``_shown``, whole or after the ``=`` of an option, so a huge
+    argument gives a short message."""
     try:
+        return _parser().parse_args(argv)
+    except DomainError as exc:
+        message = exc.message
+        for arg in sorted(argv, key=len, reverse=True):
+            for part in (arg, arg.partition("=")[2]):
+                if len(repr(part)) > 40:
+                    message = message.replace(repr(part), _shown(part)).replace(part, _shown(part))
+        raise DomainError(exc.code, message) from None
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _parse(argv)
         _emit(args.fn(args), args)
     except DomainError as exc:
         print(jsonio.dumps(exc.to_json()))

@@ -43,7 +43,7 @@ from math import gcd
 from typing import List, Sequence, Tuple
 
 from .errors import DomainError, certify
-from .geometry import ExtPoint, _mask_edges, _sides, _uncovered, dinf, free_components
+from .geometry import ExtPoint, _mask_edges, _point, _sides, _uncovered, dinf, free_components
 from .metrics import DirectedDistance, scaled_entries
 
 ENUM_CAP = 5
@@ -113,13 +113,10 @@ def _vertex_rays(mu: DirectedDistance) -> Tuple[int, List[Ray]]:
 
 
 def _vertex(mu: DirectedDistance, scale: int, r: List[int]) -> ExtPoint:
-    """The vertex of P on ray r: r[:2n] / (L * r[-1])."""
-    n, d = mu.n, r[-1] * scale
-    return ExtPoint(
-        mu.ground,
-        tuple(Fraction(x, d) for x in r[:n]),
-        tuple(Fraction(x, d) for x in r[n:-1]),
-    )
+    """The vertex of P on ray r: r[:2n] / (L * r[-1]), with that integer
+    form."""
+    n = mu.n
+    return _point(mu.ground, r[-1] * scale, r[:n], r[n:-1])
 
 
 def polyhedron_vertices(mu: DirectedDistance) -> List[ExtPoint]:

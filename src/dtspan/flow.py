@@ -23,6 +23,7 @@ from .errors import DomainError, certify
 from .geometry import (
     ExtPoint,
     Fiber,
+    _known,
     canonical_points,
     canonical_section_membership,
     dinf,
@@ -34,7 +35,7 @@ from .geometry import (
     retract_to_tight_span,
 )
 from .lp import LinearProgram, solve
-from .metrics import DirectedDistance, _shown, cycle_length, distance_from_entries, is_metric
+from .metrics import DirectedDistance, _shown, cycle_length, distance_from_entries, is_metric, scaled_entries
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -201,10 +202,13 @@ class MetricExtension:
                     )
 
     def point_of(self, x: str) -> ExtPoint:
-        """The canonical image d_x in the ambient coordinate space of mu."""
-        col = tuple(self.d.value(s, x) for s in self.mu.labels)
-        row = tuple(self.d.value(x, t) for t in self.mu.labels)
-        return ExtPoint(self.mu.ground, col, row)
+        """The canonical image d_x in the ambient coordinate space of mu,
+        with its integer form over d's L."""
+        index = self.d.ground.index_of
+        i, idx = index(x), [index(s) for s in self.mu.labels]
+        e, (scale, m) = self.d.entries, scaled_entries(self.d)
+        p = ExtPoint(self.mu.ground, tuple([e[s][i] for s in idx]), tuple([e[i][t] for t in idx]))
+        return _known(p, scale, [m[s][i] for s in idx], [m[i][t] for t in idx])
 
 
 def _as_extension(mu: DirectedDistance, d: Union[MetricExtension, DirectedDistance]) -> MetricExtension:

@@ -9,7 +9,14 @@ carve out the polyhedron Pi; intersecting with the nonnegative orthant gives
 P.  The directed tight span T is the set of points of P that cannot be
 decreased coordinatewise inside P, and Q is the analogous minimal set of Pi.
 Q+ = Q intersected with the orthant is a subcomplex of T.  Everything here is
-exact: coordinates are Fractions, comparisons are equalities.
+exact, and comparisons are equalities.  Points and distances keep their
+Fraction fields, but membership, the retractions, dinf, the section shift,
+canonical_points and geodesics only add, subtract, take max and compare, so
+they run on integer forms: (L, L * mu) for a distance and (D, D * col,
+D * row) for a point, D any common denominator, each built on first use and
+kept on the object.  A kernel scales its inputs to one common denominator
+(one lcm per call) and builds Fractions only for the values it returns;
+each point it returns carries its integer form.
 
 Main tools:
 
@@ -42,10 +49,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, certify
-from .metrics import DirectedDistance, Element, GroundSet
+from .metrics import DirectedDistance, Element, GroundSet, lcm_scaled, scaled_entries
 
 F0 = Fraction(0)
 
@@ -118,7 +126,7 @@ class Fiber:
     representative: ExtPoint
 
     def canonical(self) -> ExtPoint:
-        return self.representative.fiber_shift(min(self.representative.row))
+        return _section_shift(self.representative)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Fiber):
@@ -167,6 +175,60 @@ class EqualityGraph:
         return free_components(n, self._mask() | zero)
 
 
+# -- integer forms -------------------------------------------------------------
+
+
+def _times(xs: Tuple[int, ...], f: int) -> Tuple[int, ...]:
+    return xs if f == 1 else tuple([x * f for x in xs])
+
+
+def _matrix_times(m: Tuple[Tuple[int, ...], ...], f: int) -> Tuple[Tuple[int, ...], ...]:
+    return m if f == 1 else tuple([_times(r, f) for r in m])
+
+
+def _form(p: ExtPoint) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """(D, D * col, D * row) for a common denominator D: built on first use
+    unless the point came with it (``_known``), and kept in the point's
+    ``__dict__``, outside its fields, so equality and hashing ignore it."""
+    form = p.__dict__.get("_scaled")
+    if form is None:
+        d, xs = lcm_scaled(p.col + p.row)
+        form = p.__dict__["_scaled"] = d, tuple(xs[: p.n]), tuple(xs[p.n :])
+    return form
+
+
+def _known(p: ExtPoint, d: int, col: Sequence[int], row: Sequence[int]) -> ExtPoint:
+    """p with its integer form (d, d * p.col, d * p.row) put in place, so that
+    no kernel rescans its Fractions."""
+    p.__dict__["_scaled"] = (d, tuple(col), tuple(row))
+    return p
+
+
+def _point(ground: GroundSet, d: int, col: Sequence[int], row: Sequence[int]) -> ExtPoint:
+    """The point (col / d, row / d), built with its integer form."""
+    return _known(
+        ExtPoint(ground, tuple([Fraction(x, d) for x in col]), tuple([Fraction(x, d) for x in row])),
+        d,
+        col,
+        row,
+    )
+
+
+def _common(mu: DirectedDistance, p: ExtPoint):
+    """(M, M * mu, M * p.col, M * p.row) as integers, M = lcm(L, D) for the
+    integer forms (L, L * mu) and (D, D * col, D * row)."""
+    scale, m = scaled_entries(mu)
+    d, col, row = _form(p)
+    if d == scale:
+        return d, m, col, row
+    big = lcm(scale, d)
+    return big, _matrix_times(m, big // scale), _times(col, big // d), _times(row, big // d)
+
+
+def _nonneg(col: Sequence[int], row: Sequence[int]) -> bool:
+    return min(col) >= 0 and min(row) >= 0
+
+
 # -- binding masks -------------------------------------------------------------
 
 
@@ -178,20 +240,26 @@ def _edge_bit(n: int, s: int, t: int) -> int:
     return 1 << (2 * n + 1 + s * n + t)
 
 
-def _binding_mask(mu: DirectedDistance, p: ExtPoint) -> Optional[int]:
-    """The zero coordinates and tight couplings of p, from one pass over the
-    couplings; None when p violates a coupling, that is, lies outside Pi."""
-    b, bit = 0, _edge_bit(mu.n, 0, 0)
-    for x, es in zip(p.col, mu.entries):
-        for y, m in zip(p.row, es):
-            v = x + y
-            if v == m:
+def _mask(m: Sequence[Sequence[int]], col: Sequence[int], row: Sequence[int]) -> Optional[int]:
+    """The zero coordinates and tight couplings of the point (col, row) under
+    the distance m, all three over one denominator, from one pass over the
+    couplings; None when the point violates a coupling, that is, lies
+    outside Pi."""
+    n = len(col)
+    b, bit = 0, _edge_bit(n, 0, 0)
+    for x, es in zip(col, m):
+        for y, v in zip(row, es):
+            w = x + y
+            if w == v:
                 b |= bit
-            elif v < m:
+            elif w < v:
                 return None
             bit <<= 1
-    for i, x in enumerate(p.coords()):
-        if x == 0:
+    for i, x in enumerate(col):
+        if not x:
+            b |= 1 << i
+    for i, y in enumerate(row, n):
+        if not y:
             b |= 1 << i
     return b
 
@@ -276,7 +344,14 @@ def dinf(p: ExtPoint, q: ExtPoint) -> Fraction:
     """Directed sup-distance: column increase from p to q, row increase back."""
     if p.ground != q.ground:
         raise DomainError("GroundSetMismatch", "points live over different ground sets")
-    return max(dinf_plus(p.col, q.col), dinf_plus(q.row, p.row))
+    (d, pc, pr), (dq, qc, qr) = _form(p), _form(q)
+    if dq != d:
+        big = lcm(d, dq)
+        pc, pr = _times(pc, big // d), _times(pr, big // d)
+        qc, qr = _times(qc, big // dq), _times(qr, big // dq)
+        d = big
+    up = max([b - a for a, b in zip(pc, qc)] + [a - b for a, b in zip(pr, qr)])
+    return Fraction(max(up, 0), d)
 
 
 def norm_pair(p: ExtPoint) -> Fraction:
@@ -289,14 +364,10 @@ def norm_pair(p: ExtPoint) -> Fraction:
 # -- membership --------------------------------------------------------------
 
 
-def _nonneg(p: ExtPoint) -> bool:
-    return all(x >= 0 for x in p.coords())
-
-
 def equality_graph(mu: DirectedDistance, p: ExtPoint) -> EqualityGraph:
     """Tight couplings at p; p must satisfy all coupling constraints."""
     _check_ground(mu, p)
-    b = _binding_mask(mu, p)
+    b = _mask(*_common(mu, p)[1:])
     if b is None:
         raise DomainError("NotInPolyhedron", "point violates a coupling constraint")
     return EqualityGraph(mu.n, frozenset(_mask_edges(mu.n, b)))
@@ -319,11 +390,17 @@ def classify_membership(mu: DirectedDistance, p: ExtPoint) -> Membership:
 
 def _membership(mu: DirectedDistance, p: ExtPoint) -> Tuple[Membership, Optional[int]]:
     """Where p sits, with its binding mask (None outside Pi)."""
-    b = _binding_mask(mu, p)
+    return _where(*_common(mu, p)[1:])
+
+
+def _where(m: Sequence[Sequence[int]], col: Sequence[int], row: Sequence[int]) -> Tuple[Membership, Optional[int]]:
+    """``_membership`` of the point (col, row) under m, all over one
+    denominator."""
+    b = _mask(m, col, row)
     if b is None:
         return Membership.OUTSIDE, b
-    uncovered = _uncovered(mu.n, b)
-    if _nonneg(p):
+    uncovered = _uncovered(len(col), b)
+    if _nonneg(col, row):
         if not uncovered:
             return Membership.QPLUS, b
         if not uncovered & ~b:
@@ -359,16 +436,15 @@ def canonical_points(mu: DirectedDistance, s: Element) -> Tuple[ExtPoint, ExtPoi
     zero; for a directed metric all three coincide.
     """
     i = mu.ground.index_of(s)
-    n, e = mu.n, mu.entries
-    col = tuple(e[t][i] for t in range(n))
-    row = tuple(e[i][t] for t in range(n))
-    in_row = tuple(max(e[u][t] - e[u][i] for u in range(n)) for t in range(n))
-    out_col = tuple(max(e[t][u] - e[i][u] for u in range(n)) for t in range(n))
+    scale, m = scaled_entries(mu)
+    col, row = [r[i] for r in m], m[i]
+    in_row = [max([r[t] - r[i] for r in m]) for t in range(mu.n)]
+    out_col = [max([a - b for a, b in zip(r, row)]) for r in m]
     g = mu.ground
     return (
-        ExtPoint(g, col, row),
-        ExtPoint(g, col, in_row),
-        ExtPoint(g, out_col, row),
+        _point(g, scale, col, row),
+        _point(g, scale, col, in_row),
+        _point(g, scale, out_col, row),
     )
 
 
@@ -405,28 +481,38 @@ def retract_to_tight_span(mu: DirectedDistance, p: ExtPoint) -> ExtPoint:
     single sweep lands in T.
     """
     _check_ground(mu, p)
-    if _binding_mask(mu, p) is None or not _nonneg(p):
+    d, m, col, row = _common(mu, p)
+    if _mask(m, col, row) is None or not _nonneg(col, row):
         raise DomainError("NotInP", "retraction is defined on P")
-    n, e = mu.n, mu.entries
-    col, row = list(p.col), list(p.row)
-    for i in reversed(range(n)):
-        row[i] = max(F0, max(e[s][i] - col[s] for s in range(n)))
-        col[i] = max(F0, max(e[i][t] - row[t] for t in range(n)))
-    out = ExtPoint(p.ground, tuple(col), tuple(row))
-    certify(_membership(mu, out)[0] in _IN_T, "retraction left the tight span")
-    return out
+    return _point(p.ground, d, *_into_tight_span(m, col, row))
 
 
-def _proper_subsets(n: int) -> List[Tuple[int, ...]]:
+def _lower(m: Sequence[Sequence[int]], col: Sequence[int], row: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """The sweep of ``retract_to_tight_span`` on integers over one
+    denominator."""
+    col, row = list(col), list(row)
+    for i in reversed(range(len(col))):
+        row[i] = max(0, max([r[i] - x for r, x in zip(m, col)]))
+        col[i] = max(0, max([v - y for v, y in zip(m[i], row)]))
+    return col, row
+
+
+def _into_tight_span(m: Sequence[Sequence[int]], col: Sequence[int], row: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """``_lower`` with its result certified in T."""
+    col, row = _lower(m, col, row)
+    certify(_where(m, col, row)[0] in _IN_T, "retraction left the tight span")
+    return col, row
+
+
+def _proper_subsets(n: int) -> Iterator[Tuple[int, ...]]:
     """Nonempty proper subsets of range(n), by cardinality then lexicographic,
-    so that no subset precedes one of its supersets."""
-    out = []
+    so that no subset precedes one of its supersets; yielded one at a time,
+    since a sweep often stops long before the last."""
     for k in range(1, n):
-        out.extend(combinations(range(n), k))
-    return out
+        yield from combinations(range(n), k)
 
 
-def _subset_sweep(up: List[Fraction], down: List[Fraction], slack: List[Fraction]) -> None:
+def _subset_sweep(up: List[int], down: List[int], slack: List[int]) -> None:
     """Move along +1 on a subset of the up coordinates and -1 on every down
     coordinate, for each subset in turn, as far as P allows.
 
@@ -463,13 +549,12 @@ def retract_to_qplus(mu: DirectedDistance, p: ExtPoint) -> ExtPoint:
     _check_ground(mu, p)
     if not in_tight_span(mu, p):
         raise DomainError("NotInTightSpan", "retraction onto Q+ starts from the tight span")
-    n, e = mu.n, mu.entries
-    col, row = list(p.col), list(p.row)
-    _subset_sweep(col, row, [min(col[s] + row[t] - e[s][t] for t in range(n)) for s in range(n)])
-    _subset_sweep(row, col, [min(col[s] + row[t] - e[s][t] for s in range(n)) for t in range(n)])
-    out = ExtPoint(p.ground, tuple(col), tuple(row))
-    certify(_membership(mu, out)[0] is Membership.QPLUS, "retraction left Q+")
-    return out
+    d, m, col, row = _common(mu, p)
+    col, row = list(col), list(row)
+    _subset_sweep(col, row, [min([x + y - v for y, v in zip(row, r)]) for x, r in zip(col, m)])
+    _subset_sweep(row, col, [min([x + y - r[t] for x, r in zip(col, m)]) for t, y in enumerate(row)])
+    certify(_where(m, col, row)[0] is Membership.QPLUS, "retraction left Q+")
+    return _point(p.ground, d, col, row)
 
 
 # -- balance and sections ----------------------------------------------------
@@ -512,8 +597,15 @@ def retract_to_section(mu: DirectedDistance, p: ExtPoint, anchors: Optional[Sequ
     """
     _require_in_q(mu, p)
     if anchors is None:
-        return p.fiber_shift(min(p.row))
+        return _section_shift(p)
     return extend_to_balanced_section(mu, anchors, [Fiber(p)])[0]
+
+
+def _section_shift(p: ExtPoint) -> ExtPoint:
+    """The translate of p along its fiber whose least row coordinate is 0."""
+    d, col, row = _form(p)
+    t = min(row)
+    return _point(p.ground, d, [x + t for x in col], [y - t for y in row])
 
 
 def canonical_section_membership(mu: DirectedDistance, p: ExtPoint) -> bool:
@@ -587,13 +679,15 @@ def geodesic_polyline(mu: DirectedDistance, p: ExtPoint, q: ExtPoint, k: int) ->
     for x in (p, q):
         if not in_tight_span(mu, x):
             raise DomainError("NotInTightSpan", "geodesics run between tight span points")
-    diff = ExtPoint(
-        p.ground,
-        tuple(b - a for a, b in zip(p.col, q.col)),
-        tuple(b - a for a, b in zip(p.row, q.row)),
-    )
-    out = []
+    # over d = k * lcm(L, D_p, D_q) every point p + (i/k)(q - p) is integral
+    scale, m = scaled_entries(mu)
+    (dp, pc, pr), (dq, qc, qr) = _form(p), _form(q)
+    base = lcm(scale, dp, dq)
+    d = k * base
+    m = _matrix_times(m, d // scale)
+    pb, qb = _times(pc + pr, base // dp), _times(qc + qr, base // dq)
+    n, out = mu.n, []
     for i in range(k + 1):
-        x = p.add_scaled(diff, Fraction(i, k))
-        out.append(retract_to_tight_span(mu, x))
+        x = [k * a + i * (b - a) for a, b in zip(pb, qb)]
+        out.append(_point(p.ground, d, *_into_tight_span(m, x[:n], x[n:])))
     return out

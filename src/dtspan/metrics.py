@@ -19,8 +19,9 @@ The triangle test and the three condition checkers only add and compare
 entries, never divide, so they run on the integer matrix L * mu from
 ``scaled_entries`` (L the least common multiple of the denominators).
 Scaling by L > 0 keeps every comparison and every tie, so the verdicts and
-witnesses are those of the rational matrix.  ``complexes`` and ``rank``
-scale through the same helper, and it and ``lp`` through ``lcm_scaled``.
+witnesses are those of the rational matrix.  A distance builds (L, L * mu)
+once, on first use, and keeps it; ``complexes``, ``rank`` and ``geometry``
+read the same form, and it and ``lp`` scale through ``lcm_scaled``.
 """
 
 from __future__ import annotations
@@ -189,10 +190,16 @@ def lcm_scaled(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
 
 
 def scaled_entries(mu: DirectedDistance) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """(L, L * mu) row by row, with one L for the whole matrix."""
-    n = mu.n
-    scale, flat = lcm_scaled([x for row in mu.entries for x in row])
-    return scale, tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
+    """(L, L * mu) row by row, with one L for the whole matrix: the integer
+    form of mu, built on first use and kept in its ``__dict__``, outside its
+    fields, so equality and hashing ignore it, and every checker, ``rank``,
+    ``complexes`` and ``geometry`` share one scan of the denominators."""
+    form = mu.__dict__.get("_scaled")
+    if form is None:
+        n = mu.n
+        scale, flat = lcm_scaled([x for row in mu.entries for x in row])
+        form = mu.__dict__["_scaled"] = scale, tuple([tuple(flat[i : i + n]) for i in range(0, n * n, n)])
+    return form
 
 
 def is_metric(mu: DirectedDistance) -> bool:

@@ -43,6 +43,14 @@ Hungarian and cycle test, which the recursion does not use.
 ``fraction_directed_tree_metric`` are the library's former scans over the
 Fraction entries; comparing them with the scans over the integer matrix
 L * mu checks the scaling.
+``fraction_membership``, ``fraction_dinf``,
+``fraction_retract_to_tight_span``, ``fraction_retract_to_qplus``,
+``fraction_section_shift``, ``fraction_canonical_points``,
+``fraction_geodesic_polyline`` and ``fraction_point_of`` are the library's
+former point kernels, run on the Fraction fields; the library now runs
+them on integer forms over one common denominator, so comparing the two
+checks the scaling and the integer forms the library hands to the points
+it builds.
 """
 
 import json
@@ -545,6 +553,140 @@ def sweep_retract_to_qplus(mu: DirectedDistance, p: ExtPoint) -> ExtPoint:
     for a in subsets:
         p = retract_ray(mu, p, _subset_direction(mu.ground, a, "r"))
     return p
+
+
+# -- the Fraction kernels ------------------------------------------------------------
+
+# The library's former point kernels, run on the Fraction fields where the
+# library now runs on integer forms over one common denominator.
+
+
+def fraction_membership(mu: DirectedDistance, p: ExtPoint) -> Tuple[Membership, Optional[int]]:
+    """Where p sits, with its binding mask (None outside Pi), from one pass
+    over the couplings in Fractions."""
+    _check_ground(mu, p)
+    n = mu.n
+    b, bit = 0, 1 << (2 * n + 1)
+    for x, es in zip(p.col, mu.entries):
+        for y, m in zip(p.row, es):
+            v = x + y
+            if v == m:
+                b |= bit
+            elif v < m:
+                return Membership.OUTSIDE, None
+            bit <<= 1
+    for i, x in enumerate(p.coords()):
+        if x == 0:
+            b |= 1 << i
+    tight, all_rows = b >> (2 * n + 1), (1 << n) - 1
+    cols = rows = 0
+    for s in range(n):
+        covered = tight >> (s * n) & all_rows
+        if covered:
+            cols |= 1 << s
+        rows |= covered
+    uncovered = (cols | rows << n) ^ ((1 << (2 * n)) - 1)
+    if _nonneg(p):
+        if not uncovered:
+            return Membership.QPLUS, b
+        if not uncovered & ~b:
+            return Membership.T_NOT_QPLUS, b
+        return Membership.P_NOT_T, b
+    return (Membership.PI_ONLY if uncovered else Membership.Q_NOT_NONNEG), b
+
+
+_FRACTION_T = (Membership.T_NOT_QPLUS, Membership.QPLUS)
+
+
+def fraction_dinf(p: ExtPoint, q: ExtPoint) -> Fraction:
+    """Directed sup-distance: column increase from p to q, row increase back."""
+    if p.ground != q.ground:
+        raise DomainError("GroundSetMismatch", "points live over different ground sets")
+    up = max(max(b - a for a, b in zip(p.col, q.col)), F0)
+    back = max(max(b - a for a, b in zip(q.row, p.row)), F0)
+    return max(up, back)
+
+
+def fraction_canonical_points(mu: DirectedDistance, s) -> Tuple[ExtPoint, ExtPoint, ExtPoint]:
+    i = mu.ground.index_of(s)
+    n, e = mu.n, mu.entries
+    col = tuple(e[t][i] for t in range(n))
+    row = tuple(e[i][t] for t in range(n))
+    in_row = tuple(max(e[u][t] - e[u][i] for u in range(n)) for t in range(n))
+    out_col = tuple(max(e[t][u] - e[i][u] for u in range(n)) for t in range(n))
+    g = mu.ground
+    return ExtPoint(g, col, row), ExtPoint(g, col, in_row), ExtPoint(g, out_col, row)
+
+
+def fraction_retract_to_tight_span(mu: DirectedDistance, p: ExtPoint) -> ExtPoint:
+    """The closed-form sweep: for each element, last label first, row i drops
+    to max(0, max_s mu(s, i) - col[s]) and then column i to
+    max(0, max_t mu(i, t) - row[t])."""
+    if fraction_membership(mu, p)[0] is Membership.OUTSIDE or not _nonneg(p):
+        raise DomainError("NotInP", "retraction is defined on P")
+    n, e = mu.n, mu.entries
+    col, row = list(p.col), list(p.row)
+    for i in reversed(range(n)):
+        row[i] = max(F0, max(e[s][i] - col[s] for s in range(n)))
+        col[i] = max(F0, max(e[i][t] - row[t] for t in range(n)))
+    out = ExtPoint(p.ground, tuple(col), tuple(row))
+    certify(fraction_membership(mu, out)[0] in _FRACTION_T, "retraction left the tight span")
+    return out
+
+
+def _fraction_subset_sweep(up: List[Fraction], down: List[Fraction], slack: List[Fraction]) -> None:
+    low = min(down)
+    for a in _proper_subsets(len(up)):
+        if low == 0:
+            break
+        step = min([low] + [slack[u] for u in range(len(up)) if u not in a])
+        if step == 0:
+            continue
+        low -= step
+        for u in range(len(up)):
+            if u in a:
+                up[u] += step
+            else:
+                slack[u] -= step
+        for v in range(len(down)):
+            down[v] -= step
+
+
+def fraction_retract_to_qplus(mu: DirectedDistance, p: ExtPoint) -> ExtPoint:
+    """The two subset sweeps, columns then rows, each step as long as the
+    least down coordinate and the least slack outside the subset allow."""
+    if fraction_membership(mu, p)[0] not in _FRACTION_T:
+        raise DomainError("NotInTightSpan", "retraction onto Q+ starts from the tight span")
+    n, e = mu.n, mu.entries
+    col, row = list(p.col), list(p.row)
+    _fraction_subset_sweep(col, row, [min(col[s] + row[t] - e[s][t] for t in range(n)) for s in range(n)])
+    _fraction_subset_sweep(row, col, [min(col[s] + row[t] - e[s][t] for s in range(n)) for t in range(n)])
+    out = ExtPoint(p.ground, tuple(col), tuple(row))
+    certify(fraction_membership(mu, out)[0] is Membership.QPLUS, "retraction left Q+")
+    return out
+
+
+def fraction_section_shift(p: ExtPoint) -> ExtPoint:
+    return p.fiber_shift(min(p.row))
+
+
+def fraction_geodesic_polyline(mu: DirectedDistance, p: ExtPoint, q: ExtPoint, k: int) -> List[ExtPoint]:
+    """Retract p + (i/k)(q - p), i = 0..k, into the tight span."""
+    for x in (p, q):
+        if fraction_membership(mu, x)[0] not in _FRACTION_T:
+            raise DomainError("NotInTightSpan", "geodesics run between tight span points")
+    diff = ExtPoint(
+        p.ground,
+        tuple(b - a for a, b in zip(p.col, q.col)),
+        tuple(b - a for a, b in zip(p.row, q.row)),
+    )
+    return [fraction_retract_to_tight_span(mu, p.add_scaled(diff, Fraction(i, k))) for i in range(k + 1)]
+
+
+def fraction_point_of(ext: MetricExtension, x: str) -> ExtPoint:
+    col = tuple(ext.d.value(s, x) for s in ext.mu.labels)
+    row = tuple(ext.d.value(x, t) for t in ext.mu.labels)
+    return ExtPoint(ext.mu.ground, col, row)
 
 
 # -- matchings and the tree condition --------------------------------------------

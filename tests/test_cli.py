@@ -22,6 +22,7 @@ ALL_ONE = {
     "matrix": [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]],
 }
 ONE_WAY = {"labels": ["s", "t"], "matrix": [["0", "1"], ["0", "0"]]}
+HUGE_ARG = "w" * 5000
 TRIANGLE_NET = {
     "vertices": ["s", "x", "t"],
     "edges": [
@@ -229,6 +230,47 @@ def test_usage_error_exit_code(files, capsys):
     # mode Q on an unbalanced network is a domain failure, not a usage one
     code, out = run(capsys, ["flow", "verify", npath, mpath, "--mode", "Q"])
     assert code == 1 and out["error"]["code"] == "NotEulerian"
+
+
+USAGE_ERRORS = {
+    "bad-int": ["geodesic", "m", "p", "q", "--k", "x"],
+    "bad-choice": ["check", "nosuch", "m"],
+    "unknown-flag": ["validate", "m", "--nosuch"],
+    "missing-positional": ["geodesic", "m", "p"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_errors_are_json_with_exit_2(capsys, argv):
+    code, out = run(capsys, argv)
+    assert code == 2 and out["error"]["code"] == "UsageError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["geodesic", "m", "p", "q", "--k", HUGE_ARG],
+        ["geodesic", "m", "p", "q", "--k=" + HUGE_ARG],
+        ["check", HUGE_ARG, "m"],
+        ["retract", "m", "p", "--target=" + HUGE_ARG],
+        ["validate", "m", "--" + HUGE_ARG],
+    ],
+    ids=["bad-int", "bad-int-after-equals", "bad-choice", "bad-choice-after-equals", "unknown-flag"],
+)
+def test_huge_bad_arguments_give_short_usage_errors(capsys, argv):
+    code = main(argv)
+    printed = capsys.readouterr().out
+    assert code == 2 and json.loads(printed)["error"]["code"] == "UsageError"
+    assert "(5002 characters)" in printed or "(5004 characters)" in printed
+    assert len(printed.encode()) < 300
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["rank", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: dtspan" in capsys.readouterr().out
 
 
 TWO_TREE = {

@@ -4,14 +4,22 @@ geodesics.  Random points are produced by the generators in oracles.py and
 exercised with exact rational arithmetic throughout."""
 
 import random
+import subprocess
+import sys
+from collections.abc import Iterator
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
+import dtspan
+import dtspan.geometry as geometry
 from dtspan import (
     DomainError,
+    ExtPoint,
     Fiber,
+    MetricExtension,
     Membership,
     canonical_points,
     canonical_section_membership,
@@ -29,14 +37,26 @@ from dtspan import (
     is_metric,
     norm_pair,
     point,
+    polyhedron_vertices,
     retract_to_qplus,
     retract_to_section,
     retract_to_tight_span,
 )
+from dtspan.metrics import scaled_entries
 from oracles import (
+    _proper_subsets,
+    fraction_canonical_points,
+    fraction_dinf,
+    fraction_geodesic_polyline,
+    fraction_membership,
+    fraction_point_of,
+    fraction_retract_to_qplus,
+    fraction_retract_to_tight_span,
+    fraction_section_shift,
     random_distance,
     random_metric,
     random_p_point,
+    random_points_of_every_class,
     random_q_point,
     random_qplus_point,
     random_t_point,
@@ -461,3 +481,154 @@ def test_geodesic_polyline_validation():
     with pytest.raises(DomainError) as err:
         geodesic_polyline(mu, p, point(mu, (9, 9, 9), (9, 9, 9)), 2)
     assert err.value.code == "NotInTightSpan"
+
+
+def _fresh(p):
+    """p rebuilt from its Fractions alone, without an integer form."""
+    return ExtPoint(p.ground, p.col, p.row)
+
+
+def _same_point(got, want):
+    """Equal fields, equal hash, and an integer form that reads back as them."""
+    assert got == want and hash(got) == hash(want)
+    d, col, row = geometry._form(got)
+    assert tuple(Fraction(x, d) for x in col + row) == want.coords()
+    assert _fresh(got) == got and hash(_fresh(got)) == hash(got)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as err:
+        return err.code
+
+
+def _same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_point(g, w)
+    else:
+        _same_point(got, want)
+
+
+def _rational_p_point(rng, mu):
+    """A point of P with denominators 7 and 11, which divide no L here."""
+    n = mu.n
+    col = [Fraction(rng.randint(0, 12), rng.choice((7, 11))) for _ in range(n)]
+    row = [
+        max(max(mu.entries[s][t] - col[s] for s in range(n)), Fraction(0))
+        + Fraction(rng.randint(0, 12), rng.choice((7, 11)))
+        for t in range(n)
+    ]
+    return point(mu, col, row)
+
+
+def test_integer_kernels_match_fraction_oracles():
+    rng = random.Random(1616)
+    reached, foreign = set(), 0
+    for n, kind, _ in product(range(1, 7), ("integer", "mixed", "metric"), range(3)):
+        if True:
+            if kind == "integer":
+                mu = random_distance(rng, n, den=1)
+            elif kind == "mixed":
+                mu = random_distance(rng, n, den=6)
+            else:
+                big = random_metric(rng, n + 2, den=5)
+                mu = big.restrict(big.labels[:n])
+                ext = MetricExtension(mu, big)
+                for x in big.labels:
+                    _same_point(ext.point_of(x), fraction_point_of(ext, x))
+            scale = scaled_entries(mu)[0]
+            pts = random_points_of_every_class(rng, mu)
+            pts += [_rational_p_point(rng, mu) for _ in range(3)]
+            pts += [_fresh(p) for p in pts]
+            for p in pts:
+                foreign += scale % geometry._form(p)[0] != 0
+                where, mask = fraction_membership(mu, p)
+                reached.add(where)
+                assert geometry._membership(mu, p) == (where, mask)
+                assert classify_membership(mu, p) is where
+                assert in_tight_span(mu, p) is (where in (Membership.T_NOT_QPLUS, Membership.QPLUS))
+                assert in_qplus(mu, p) is (where is Membership.QPLUS)
+                for fn, oracle in (
+                    (retract_to_tight_span, fraction_retract_to_tight_span),
+                    (retract_to_qplus, fraction_retract_to_qplus),
+                ):
+                    _same_outcome(_outcome(fn, mu, p), _outcome(oracle, mu, p))
+                if where in (Membership.QPLUS, Membership.Q_NOT_NONNEG):
+                    _same_point(retract_to_section(mu, p), fraction_section_shift(p))
+                _same_point(Fiber(p).canonical(), fraction_section_shift(p))
+                for q in pts[:4]:
+                    assert dinf(p, q) == fraction_dinf(p, q)
+            for s in mu.labels:
+                for got, want in zip(canonical_points(mu, s), fraction_canonical_points(mu, s)):
+                    _same_point(got, want)
+            ends = [fraction_retract_to_tight_span(mu, _rational_p_point(rng, mu)) for _ in range(2)]
+            ends += [retract_to_tight_span(mu, random_p_point(rng, mu))]
+            for k in (1, 2, 3, 8, 9):
+                a, b = rng.sample(ends, 2)
+                _same_outcome(geodesic_polyline(mu, a, b, k), fraction_geodesic_polyline(mu, a, b, k))
+            if n <= 4:
+                for v in polyhedron_vertices(mu):
+                    _same_point(v, _fresh(v))
+    assert reached == set(Membership)
+    assert foreign > 0
+
+
+def _inflated(mu):
+    """A point of P outside T, and two points of T whose segment leaves T."""
+    return point(mu, (5, 5, 5), (5, 5, 5)), canonical_points(mu, 0)[0], canonical_points(mu, 1)[0]
+
+
+def test_identity_retraction_fails_certificate(monkeypatch):
+    mu = distance_from_entries(ALL_ONE)
+    p, a, b = _inflated(mu)
+    monkeypatch.setattr(geometry, "_lower", lambda m, col, row: (list(col), list(row)))
+    for fn, args in ((retract_to_tight_span, (mu, p)), (geodesic_polyline, (mu, a, b, 2))):
+        with pytest.raises(DomainError) as err:
+            fn(*args)
+        assert err.value.code == "InternalCertificate"
+
+
+# The same identity retraction under -O, where an assert would be gone.
+IDENTITY_LOWER = """
+import sys
+from dtspan import DomainError, canonical_points, distance_from_entries, geodesic_polyline, geometry, point
+from dtspan import retract_to_tight_span
+
+mu = distance_from_entries([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+a, b = canonical_points(mu, 0)[0], canonical_points(mu, 1)[0]
+geometry._lower = lambda m, col, row: (list(col), list(row))
+codes = []
+for fn, args in ((retract_to_tight_span, (mu, point(mu, (5, 5, 5), (5, 5, 5)))), (geodesic_polyline, (mu, a, b, 2))):
+    try:
+        fn(*args)
+        codes.append("passed")
+    except DomainError as err:
+        codes.append(err.code)
+print(sys.flags.optimize, *codes)
+"""
+
+
+def test_identity_retraction_fails_certificate_under_optimize():
+    src = str(Path(dtspan.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", IDENTITY_LOWER],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        check=True,
+    )
+    assert out.stdout.split() == ["1", "InternalCertificate", "InternalCertificate"]
+
+
+def test_proper_subsets_are_yielded_lazily_in_order():
+    for n in range(1, 7):
+        subsets = geometry._proper_subsets(n)
+        assert isinstance(subsets, Iterator)
+        assert list(subsets) == _proper_subsets(n)
+    # the first subset comes at once, before any of the 2^40 - 2 others
+    assert next(geometry._proper_subsets(40)) == (0,)

@@ -25,6 +25,7 @@ from dtspan import (
     tropical_rank_witness,
     validate_distance,
 )
+from dtspan import metrics
 from dtspan.trees import KINDS
 from oracles import (
     fraction_directed_tree_metric,
@@ -302,3 +303,19 @@ def test_integer_scans_with_mixed_denominators():
         ("dtm", False),
         ("dtm", "NotAMetric"),
     }
+
+
+def test_distance_is_scaled_once(monkeypatch):
+    # the checkers and both searches read the one (L, L * mu) the distance keeps
+    calls = []
+    real = metrics.lcm_scaled
+    monkeypatch.setattr(metrics, "lcm_scaled", lambda values: calls.append(1) or real(values))
+    entries = [[0, "1/2", 3, 1], ["2/3", 0, 1, "1/4"], [1, "5/6", 0, 2], [0, 1, "3/5", 0]]
+    mu = distance_from_entries(entries)
+    check_path_condition(mu)
+    check_tree_condition(mu)
+    tropical_rank_witness(mu)
+    dim_tight_span_witness(mu)
+    assert len(calls) == 1
+    again = distance_from_entries(entries)
+    assert again == mu and hash(again) == hash(mu)
