@@ -1,5 +1,5 @@
-"""Scaling record of the geometry layer: work counts and wall time per
-(layer, n, seed).
+"""Scaling record of the geometry layer and of the rank layer: work counts
+and wall time per (layer, n, seed).
 
     python3 bench/scaling.py BENCH.json
 
@@ -22,10 +22,27 @@ out.  A record holds the counts first, which do not depend on the host: the
 layer's calls per pass and the Fractions built per pass (each
 ``Fraction.__new__``, counted in one extra pass).  The wall seconds per pass
 follow, as the median of ``REPEATS`` passes.
+
+The rank layer runs on two input classes for each n = 8..16 and each seed:
+``path_subtrees``, the distance of ``random_realization("path_subtrees", n,
+seed)`` (tropical rank <= 2, so every 3 x 3 minor is scanned), and
+``generic``, integer entries 1..1000 from ``random.Random`` seeded by
+(seed, n) (full rank on most draws).  Its layers are ``check_path_condition``,
+``check_tree_condition``, ``dim_tight_span_witness``,
+``tropical_rank_witness``, and ``cli check path`` and ``cli check tree``,
+which run ``dtspan.cli.main`` on a JSON file and report the verdict, the
+violator and the dimension or rank from one search.  Each pass builds the
+distance afresh.  A record holds the answer and two counts first, summed
+over the pass's minor searches: the memo states the recursion stored and
+the minors the search looked up.  The wall seconds per pass follow, as the
+median of ``RANK_REPEATS`` passes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import inspect
+import io
 import json
 import platform
 import random
@@ -33,6 +50,7 @@ import statistics
 import sys
 from fractions import Fraction
 from pathlib import Path
+from tempfile import TemporaryDirectory
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,18 +58,29 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from dtspan import (  # noqa: E402
     ExtPoint,
+    check_path_condition,
+    check_tree_condition,
     classify_membership,
+    dim_tight_span_witness,
     dinf,
     distance_from_entries,
+    evaluate_realization,
     geodesic_polyline,
+    random_realization,
     retract_to_qplus,
     retract_to_tight_span,
+    tropical_rank_witness,
 )
+from dtspan import cli, metrics  # noqa: E402
+from dtspan.jsonio import distance_to_json  # noqa: E402
 
 SIZES = range(3, 9)
 SEEDS = (1, 2, 3)
 POINTS = 24
 REPEATS = 7
+RANK_SIZES = range(8, 17)
+RANK_INPUTS = ("path_subtrees", "generic")
+RANK_REPEATS = 3
 
 
 def _inputs(n: int, seed: int):
@@ -136,21 +165,107 @@ def record(layer: str, n: int, seed: int) -> dict:
     }
 
 
+def _rank_entries(kind: str, n: int, seed: int):
+    if kind == "path_subtrees":
+        return [list(row) for row in evaluate_realization(random_realization(kind, n, seed)).entries]
+    rng = random.Random(1000 * seed + n)
+    return [[0 if i == j else rng.randint(1, 1000) for j in range(n)] for i in range(n)]
+
+
+def _cli(condition: str, path: str):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.main(["check", condition, path])
+    report = json.loads(out.getvalue())
+    return [report[f"{condition}_condition"], report["violator"], report.get("dim_tight_span", report.get("tropical_rank"))]
+
+
+RANK_LAYERS = {
+    "check_path_condition": lambda mu, path: list(check_path_condition(mu)),
+    "check_tree_condition": lambda mu, path: list(check_tree_condition(mu)),
+    "dim_tight_span_witness": lambda mu, path: dim_tight_span_witness(mu)[0],
+    "tropical_rank_witness": lambda mu, path: tropical_rank_witness(mu)[0],
+    "cli check path": lambda mu, path: _cli("path", path),
+    "cli check tree": lambda mu, path: _cli("tree", path),
+}
+
+
+@contextlib.contextmanager
+def _counting_searches(counts: dict):
+    """Count the memo states and the minor lookups of every minor search
+    started inside the block, reading the memo from the recursion's closure."""
+    real = metrics._minor_optima
+    searches = []
+
+    def counted(m, mode):
+        optimum = real(m, mode)
+        searches.append(optimum)
+
+        def lookup(a, b):
+            counts["minor_lookups"] += 1
+            return optimum(a, b)
+
+        return lookup
+
+    metrics._minor_optima = counted
+    try:
+        yield
+    finally:
+        metrics._minor_optima = real
+        counts["memo_states"] += sum(len(inspect.getclosurevars(f).nonlocals["memo"]) - 1 for f in searches)
+
+
+def rank_record(layer: str, kind: str, n: int, seed: int, workdir: Path) -> dict:
+    entries = _rank_entries(kind, n, seed)
+    path = workdir / "m.json"
+    path.write_text(json.dumps(distance_to_json(distance_from_entries(entries))))
+    run = RANK_LAYERS[layer]
+    counts = {"memo_states": 0, "minor_lookups": 0}
+    with _counting_searches(counts):
+        answer = run(distance_from_entries(entries), str(path))
+    times = []
+    for _ in range(RANK_REPEATS):
+        mu = distance_from_entries(entries)
+        t0 = perf_counter()
+        run(mu, str(path))
+        times.append(perf_counter() - t0)
+    return {
+        "layer": layer,
+        "input": kind,
+        "n": n,
+        "seed": seed,
+        "answer": answer,
+        **counts,
+        "seconds": statistics.median(times),
+    }
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python3 bench/scaling.py OUTPUT.json", file=sys.stderr)
         return 2
     records = [record(layer, n, seed) for layer in LAYERS for n in SIZES for seed in SEEDS]
+    with TemporaryDirectory() as tmp:
+        rank_records = [
+            rank_record(layer, kind, n, seed, Path(tmp))
+            for layer in RANK_LAYERS
+            for kind in RANK_INPUTS
+            for n in RANK_SIZES
+            for seed in SEEDS
+        ]
     out = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "repeats": REPEATS,
-        "records": records,
+        "rank_repeats": RANK_REPEATS,
+        "records": records + rank_records,
     }
     Path(argv[0]).write_text(json.dumps(out, indent=1) + "\n")
     for r in records:
         print(f"{r['layer']:22} n={r['n']} seed={r['seed']} calls={r['calls']:3} "
               f"fractions={r['fractions_built']:7} {r['seconds'] * 1000:9.3f} ms")
+    for r in rank_records:
+        print(f"{r['layer']:22} {r['input']:13} n={r['n']:2} seed={r['seed']} states={r['memo_states']:8} "
+              f"lookups={r['minor_lookups']:8} {r['seconds'] * 1000:9.3f} ms")
     return 0
 
 

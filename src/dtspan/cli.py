@@ -26,13 +26,7 @@ from .geometry import (
     retract_to_section,
     retract_to_tight_span,
 )
-from .metrics import (
-    check_directed_tree_metric,
-    check_path_condition,
-    check_tree_condition,
-    _shown,
-    is_metric,
-)
+from .metrics import _condition, _shown, check_directed_tree_metric, is_metric
 from .rank import dim_tight_span_witness, tropical_rank_witness
 from .trees import (
     evaluate_realization,
@@ -48,6 +42,12 @@ COMPLEXES = {
     "tightspan": enumerate_tight_span,
     "qplus": enumerate_qplus,
     "section": enumerate_section,
+}
+
+# condition -> (matching mode, minor size, verdict key, largest-size key)
+CONDITIONS = {
+    "path": ("MT", 2, "path_condition", "dim_tight_span"),
+    "tree": ("PMT", 3, "tree_condition", "tropical_rank"),
 }
 
 
@@ -103,22 +103,11 @@ def _cmd_validate(args) -> dict:
 
 def _cmd_check(args) -> dict:
     mu = jsonio.distance_from_json(_load(args.matrix))
-    if args.condition == "path":
-        ok, witness = check_path_condition(mu)
-        k, _ = dim_tight_span_witness(mu)
-        return {
-            "path_condition": ok,
-            "violator": None if witness is None else [mu.labels[i] for i in witness],
-            "dim_tight_span": k,
-        }
-    if args.condition == "tree":
-        ok, witness = check_tree_condition(mu)
-        k, _ = tropical_rank_witness(mu)
-        return {
-            "tree_condition": ok,
-            "violator": None if witness is None else [mu.labels[i] for i in witness],
-            "tropical_rank": k,
-        }
+    if args.condition in CONDITIONS:
+        mode, size, holds, top = CONDITIONS[args.condition]
+        # one search gives the verdict, the violator and the dimension or rank
+        ok, witness, k = _condition(mu, mode, size, full=True)
+        return {holds: ok, "violator": None if witness is None else [mu.labels[i] for i in witness], top: k}
     return {"directed_tree_metric": check_directed_tree_metric(mu)}
 
 

@@ -65,8 +65,7 @@ class Network:
                 raise DomainError("InvalidNetwork", f"edge {_shown(tail)}->{_shown(head)} uses unknown vertex")
             if tail == head:
                 raise DomainError("InvalidNetwork", f"self-loop at {_shown(tail)}")
-            if not isinstance(cap, int) or cap < 0:
-                raise DomainError("InvalidNetwork", "capacities must be nonnegative integers")
+            _check_capacity(cap)
             if (tail, head) in seen:
                 raise DomainError("InvalidNetwork", f"unmerged parallel edge {_shown(tail)}->{_shown(head)}")
             seen.add((tail, head))
@@ -79,20 +78,19 @@ class Network:
                 raise DomainError("InvalidNetwork", f"terminal {_shown(s)} is not a vertex")
 
 
+def _check_capacity(cap) -> None:
+    # a bool is an int to Python, but True is no capacity
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
+        raise DomainError("InvalidNetwork", "capacities must be nonnegative integers")
+
+
 def network(vertices, edges, terminals) -> Network:
     """Build a network, merging parallel edges by capacity sum."""
-    merged: Dict[Tuple[str, str], int] = {}
-    order: List[Tuple[str, str]] = []
+    merged: Dict[Tuple[str, str], int] = {}  # in first-seen order
     for tail, head, cap in edges:
-        if (tail, head) not in merged:
-            merged[(tail, head)] = 0
-            order.append((tail, head))
-        merged[(tail, head)] += cap
-    return Network(
-        tuple(vertices),
-        tuple((t, h, merged[(t, h)]) for t, h in order),
-        tuple(terminals),
-    )
+        _check_capacity(cap)
+        merged[(tail, head)] = merged.get((tail, head), 0) + cap
+    return Network(tuple(vertices), tuple((t, h, cap) for (t, h), cap in merged.items()), tuple(terminals))
 
 
 @dataclass(frozen=True)

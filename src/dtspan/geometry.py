@@ -53,7 +53,7 @@ from math import lcm
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, certify
-from .metrics import DirectedDistance, Element, GroundSet, lcm_scaled, scaled_entries
+from .metrics import DirectedDistance, Element, GroundSet, as_fraction, lcm_scaled, scaled_entries
 
 F0 = Fraction(0)
 
@@ -111,7 +111,7 @@ class ExtPoint:
 
 def point(mu_or_ground, col, row) -> ExtPoint:
     ground = mu_or_ground.ground if isinstance(mu_or_ground, DirectedDistance) else mu_or_ground
-    return ExtPoint(ground, tuple(Fraction(c) for c in col), tuple(Fraction(r) for r in row))
+    return ExtPoint(ground, tuple(as_fraction(c) for c in col), tuple(as_fraction(r) for r in row))
 
 
 @dataclass(frozen=True)

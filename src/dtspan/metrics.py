@@ -7,21 +7,51 @@ plus the scalar-level machinery built on them:
 
 - validation and the directed triangle-inequality test,
 - cycle lengths and congruence of two distances by a potential,
-- the quadruple condition characterizing one-dimensional tight spans,
-- the sextuple condition characterizing tropical rank at most two,
+- the search for the square minors whose best matching is attained once,
+- the quadruple condition characterizing one-dimensional tight spans and
+  the sextuple condition characterizing tropical rank at most two, both
+  read off that search,
 - the two-part test for metrics realizable on an oriented tree with
   single-vertex subtrees.
 
 All witnesses returned by the condition checkers are the lexicographically
 smallest violating index tuples, so results are reproducible bit for bit.
 
-The triangle test and the three condition checkers only add and compare
-entries, never divide, so they run on the integer matrix L * mu from
-``scaled_entries`` (L the least common multiple of the denominators).
+The triangle test, the minor search and the condition checkers only add and
+compare entries, never divide, so they run on the integer matrix m = L * mu
+from ``scaled_entries`` (L the least common multiple of the denominators).
 Scaling by L > 0 keeps every comparison and every tie, so the verdicts and
 witnesses are those of the rational matrix.  A distance builds (L, L * mu)
 once, on first use, and keeps it; ``complexes``, ``rank`` and ``geometry``
 read the same form, and it and ``lp`` scale through ``lcm_scaled``.
+
+The minor search counts a minor's perfect matchings in mode PMT and all of
+its matchings, the empty one included, in mode MT.  The path condition
+fails where a 2 x 2 minor has a unique MT optimum (dim T >= 2), the tree
+condition where a 3 x 3 minor has a unique PMT optimum (tropical rank
+>= 3).  One memoized recursion answers every minor of one search.  For a row mask A and a
+column mask B with |A| = |B|, expand along the highest row r of A:
+
+    opt(A, B) = max over j in B of opt(A - r, B - j) + m[r][j],
+
+with opt(empty, empty) = 0.  The optima of (A, B) are exactly the optima of
+the sub-minors at the maximizing columns, each extended by (r, j).  So the
+optimum of (A, B) is unique when exactly one column j attains the maximum
+and the optimum of (A - r, B - j) is unique; in MT mode m[r][j] > 0 is
+needed too, since dropping a zero-weight edge ties with a smaller matching.
+Expanding along the highest row keeps the row masks of A's states to the
+prefixes of A, so a search visits at most C(2n, n) states (A, B), with O(k)
+work each, and neighbouring minors share their sub-minors.  The memo lives
+for one search.  A unique optimum is read off the memo by following the
+unique maximizing column from the top row down.
+
+Both uniqueness notions are closed downward.  If a (k+1) x (k+1) minor has
+a unique optimum M of either kind, deleting one edge e of M with its row and
+column leaves a k x k minor whose unique optimum of the same kind is M - e:
+a rival N there would make N + e a rival of M.  So the sizes with a unique
+minor form an interval 1..K, and the search runs bottom-up: sizes k = 1, 2,
+... in turn, each scanned in lexicographic order of (rows, cols), stopping
+at the first size with none.
 """
 
 from __future__ import annotations
@@ -29,7 +59,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, product, takewhile
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -42,9 +72,6 @@ Potential = Dict[str, Fraction]
 # are the steps of the cycle.
 CyclicSequence = Tuple[Element, ...]
 
-_PERM3 = tuple(permutations(range(3)))
-
-
 @dataclass(frozen=True)
 class GroundSet:
     """Ordered finite set of distinct labels."""
@@ -54,6 +81,9 @@ class GroundSet:
     def __post_init__(self):
         if len(self.labels) < 1:
             raise DomainError("NonSquare", "ground set must have at least one element")
+        # an int label would read as an index in ``index_of``
+        if not all(isinstance(x, str) for x in self.labels):
+            raise DomainError("InputParseError", f"labels must be strings: {_shown(self.labels)}")
         if len(set(self.labels)) != len(self.labels):
             raise DomainError("DuplicateLabel", f"duplicate labels in {_shown(self.labels)}")
 
@@ -242,23 +272,105 @@ def congruence_witness(d: DirectedDistance, d2: DirectedDistance) -> Optional[Po
     return {d.labels[x]: alpha[x] for x in range(n)}
 
 
+def _minor_optima(m: Sequence[Sequence[int]], mode: str):
+    """optimum(A, B) -> (value, unique) for the minor of the integer matrix m
+    on row mask A and column mask B, |A| = |B| (see the module docstring).
+
+    States are memoized under (A << n) | B for the life of the returned
+    function.
+    """
+    n = len(m)
+    positive = mode == "MT"
+    memo = {0: (0, True)}
+
+    def expand(a: int, b: int):
+        r = a.bit_length() - 1
+        rest = a ^ (1 << r)
+        base = rest << n
+        row = m[r]
+        best, unique = -1, False
+        c = b
+        while c:
+            low = c & -c
+            c ^= low
+            # a stored pair is a nonempty tuple, so never falsy
+            value, sub_unique = memo.get(base | b ^ low) or expand(rest, b ^ low)
+            w = row[low.bit_length() - 1]
+            value += w
+            if value > best:
+                best, unique = value, sub_unique and (w > 0 or not positive)
+            elif value == best:
+                unique = False
+        memo[(a << n) | b] = got = (best, unique)
+        return got
+
+    def optimum(a: int, b: int):
+        return memo.get((a << n) | b) or expand(a, b)
+
+    return optimum
+
+
+def _unique_minors(mu: DirectedDistance, mode: str):
+    """The bottom-up search: for k = 1, 2, ... until the first k with none,
+    an iterator over the k x k minors with a unique optimum, as (rows, cols,
+    A, B) in lexicographic order, and matching(A, B) -> the sorted pairs."""
+    n = mu.n
+    _, m = scaled_entries(mu)
+    optimum = _minor_optima(m, mode)
+
+    def matching(a: int, b: int):
+        # at each row, from the top down, the one column whose sub-minor
+        # attains the minor's value
+        pairs = []
+        while a:
+            value = optimum(a, b)[0]
+            r = a.bit_length() - 1
+            a ^= 1 << r
+            j = next(j for j in range(n) if b >> j & 1 and optimum(a, b ^ (1 << j))[0] + m[r][j] == value)
+            b ^= 1 << j
+            pairs.append((r, j))
+        return tuple(sorted(pairs))
+
+    for k in range(1, n + 1):
+        subsets = [(s, sum(1 << i for i in s)) for s in combinations(range(n), k)]
+        hits = ((r, c, a, b) for (r, a), (c, b) in product(subsets, subsets) if optimum(a, b)[1])
+        first = next(hits, None)
+        if first is None:
+            return
+        yield chain((first,), hits), matching
+
+
+def _condition(mu: DirectedDistance, mode: str, size: int, full: bool = False):
+    """(holds, violator, K): no size x size minor has a unique optimum, the
+    smallest violator, and the largest size with a unique minor (``size`` at
+    most, unless ``full``).
+
+    (rows, cols) violates when rows[i] -> cols[i] is its minor's unique
+    optimum.  Repeated rows or columns tie with a transposition, and sorting
+    the rows with their columns keeps a violator one.  So the smallest is
+    the first row set with a unique minor, in ``combinations`` order, plus
+    the smallest column tuple those minors match to it.
+    """
+    violator, top = None, 0
+    for top, (hits, matching) in enumerate(_unique_minors(mu, mode), 1):
+        if top == size:
+            first = next(hits)
+            same = chain((first,), takewhile(lambda hit: hit[0] == first[0], hits))
+            violator = first[0] + min(tuple(j for _, j in matching(a, b)) for _, _, a, b in same)
+            if not full:
+                break
+    return violator is None, violator, top
+
+
 def check_path_condition(mu: DirectedDistance) -> Tuple[bool, Optional[Tuple[int, int, int, int]]]:
     """Quadruple condition equivalent to the tight span being at most a segment.
 
     For every (s,t,u,v), with repeats allowed:
         mu(s,u) + mu(t,v) <= max{mu(s,v) + mu(t,u), mu(s,u), mu(s,v), mu(t,u), mu(t,v)}
-    Returns (True, None) or (False, first violating quadruple).
+    Returns (True, None) or (False, first violating quadruple), read off
+    the 2 x 2 minors with a unique MT optimum.
     """
-    n = mu.n
-    _, e = scaled_entries(mu)
-    for s, t, u in product(range(n), repeat=3):
-        es, et = e[s], e[t]
-        esu, etu = es[u], et[u]
-        for v in range(n):
-            esv, etv = es[v], et[v]
-            if esu + etv > max(esv + etu, esu, esv, etu, etv):
-                return False, (s, t, u, v)
-    return True, None
+    return _condition(mu, "MT", 2)[:2]
 
 
 def check_tree_condition(mu: DirectedDistance) -> Tuple[bool, Optional[Tuple[int, ...]]]:
@@ -266,34 +378,10 @@ def check_tree_condition(mu: DirectedDistance) -> Tuple[bool, Optional[Tuple[int
 
     For every (x,y,z,u,v,w), with repeats allowed, the diagonal sum
     mu(x,u) + mu(y,v) + mu(z,w) must not exceed the best of the other five
-    ways to match {x,y,z} with {u,v,w}.  Equivalently, every 3 x 3 minor
-    has its best matching attained at least twice.
-
-    The test runs over the minors, pairs of 3-subsets (R, C), computing the
-    six matching sums of each once.  A tuple with a repeated row or column
-    ties with a transposition and never violates; a violating tuple stays
-    violating when its rows are sorted and its columns carried along.  So
-    the smallest violator of a minor whose best matching sigma is strict is
-    sorted R followed by sigma's columns, and the lexicographically smallest
-    violator overall lies in the first R, in ``combinations`` order, that
-    has any.
+    ways to match {x,y,z} with {u,v,w}: no 3 x 3 minor has a unique PMT
+    optimum.
     """
-    _, e = scaled_entries(mu)
-    triples = list(combinations(range(mu.n), 3))
-    for rows in triples:
-        r0, r1, r2 = (e[r] for r in rows)
-        witness = None
-        for c in triples:
-            sums = [r0[c[p[0]]] + r1[c[p[1]]] + r2[c[p[2]]] for p in _PERM3]
-            best = max(sums)
-            if sums.count(best) == 1:
-                p = _PERM3[sums.index(best)]
-                cols = (c[p[0]], c[p[1]], c[p[2]])
-                if witness is None or cols < witness:
-                    witness = cols
-        if witness is not None:
-            return False, rows + witness
-    return True, None
+    return _condition(mu, "PMT", 3)[:2]
 
 
 def check_directed_tree_metric(mu: DirectedDistance) -> bool:

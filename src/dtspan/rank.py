@@ -4,58 +4,34 @@ The dimension of the tight span and the tropical rank of a directed distance
 are both read off from maximum-weight matchings on square submatrices:
 
 - tropical rank is the largest k for which some k x k submatrix has its
-  best perfect matching attained uniquely;
+  best perfect matching attained uniquely (mode PMT);
 - the tight span has dimension >= k exactly when some k x k submatrix has
   its best matching over *all* matchings (empty included) attained uniquely,
-  and by a perfect one.
+  and by a perfect one (mode MT).
 
 Since entries are nonnegative the two optimum values agree on every
 submatrix; only the uniqueness question differs, by ties with smaller
 matchings, i.e. zero-weight edges in the optimum.
 
-The search runs on the integer matrix m = L * mu (``metrics.scaled_entries``,
-L the least common multiple of the denominators): scaling by L > 0 keeps
-every comparison and every tie.  One memoized recursion answers every minor
-of one search.  For a row mask A and a column mask B with |A| = |B|, expand
-along the highest row r of A:
-
-    opt(A, B) = max over j in B of opt(A - r, B - j) + m[r][j],
-
-with opt(empty, empty) = 0.  The optima of (A, B) are exactly the optima of
-the sub-minors at the maximizing columns, each extended by (r, j).  So the
-optimum of (A, B) is unique when exactly one column j attains the maximum
-and the optimum of (A - r, B - j) is unique; in MT mode m[r][j] > 0 is
-needed too, since dropping a zero-weight edge ties with a smaller matching.
-Expanding along the highest row keeps the row masks of A's states to the
-prefixes of A, so a search visits at most C(2n, n) states (A, B), with O(k)
-work each, and neighbouring minors share their sub-minors.  The memo lives
-for one search.  The witness matching is read off the memo by following
-the unique maximizing column from the top row down.
+The search for the minors with a unique optimum is ``metrics``'s, whose
+path and tree checkers stop it at sizes 2 and 3.  Here it runs to the
+largest size K with one, and the witness is the first unique K x K minor,
+as a top-down scan would find it, with its matching.
 
 The exact Hungarian algorithm and the alternating-cycle test on its
 equality subgraph stay for the per-instance API, ``max_matching`` and
 ``is_unique_optimum``, which answer one instance of any size in polynomial
 time.
-
-Both uniqueness notions are closed downward.  If a (k+1) x (k+1) minor has
-a unique optimum M of either kind, deleting one edge e of M with its row and
-column leaves a k x k minor whose unique optimum of the same kind is M - e:
-a rival N there would make N + e a rival of M.  So the sizes with a unique
-minor form an interval 1..K, and the search runs bottom-up: sizes k = 1, 2,
-... in turn, each scanned in lexicographic order of (rows, cols) until its
-first hit, stopping at the first size with none.  The witness is the first
-hit at size K, the same minor a top-down scan would return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import List, Sequence, Tuple
 
 from .errors import DomainError
-from .metrics import DirectedDistance, Element, scaled_entries
+from .metrics import DirectedDistance, Element, _unique_minors, as_fraction
 
 
 @dataclass(frozen=True)
@@ -72,6 +48,7 @@ class MatchingInstance:
             raise DomainError("NonSquare", "matching instances are square and nonempty")
         if len(self.weights) != k or any(len(r) != k for r in self.weights):
             raise DomainError("NonSquare", "weight matrix shape mismatch")
+        object.__setattr__(self, "weights", tuple(tuple(as_fraction(w) for w in r) for r in self.weights))
         if any(w < 0 for r in self.weights for w in r):
             raise DomainError("NegativeEntry", "matching weights must be nonnegative")
 
@@ -224,70 +201,12 @@ def is_unique_optimum(instance: MatchingInstance, mode: str = "MT") -> bool:
     return not _has_alternating_cycle(tight, row_to_col)
 
 
-def _minor_optima(m: Sequence[Sequence[int]], mode: str):
-    """optimum(A, B) -> (value, unique) for the minor of the integer matrix m
-    on row mask A and column mask B, |A| = |B| (see the module docstring).
-
-    States are memoized under (A << n) | B for the life of the returned
-    function.
-    """
-    n = len(m)
-    positive = mode == "MT"
-    memo = {0: (0, True)}
-
-    def expand(a: int, b: int):
-        r = a.bit_length() - 1
-        rest = a ^ (1 << r)
-        base = rest << n
-        row = m[r]
-        best, unique = -1, False
-        c = b
-        while c:
-            low = c & -c
-            c ^= low
-            # a stored pair is a nonempty tuple, so never falsy
-            value, sub_unique = memo.get(base | b ^ low) or expand(rest, b ^ low)
-            w = row[low.bit_length() - 1]
-            value += w
-            if value > best:
-                best, unique = value, sub_unique and (w > 0 or not positive)
-            elif value == best:
-                unique = False
-        memo[(a << n) | b] = got = (best, unique)
-        return got
-
-    def optimum(a: int, b: int):
-        return memo.get((a << n) | b) or expand(a, b)
-
-    return optimum
-
-
 def _search_unique(mu: DirectedDistance, mode: str):
-    """Largest k with a unique k x k minor, bottom-up (see the module docstring)."""
-    _, m = scaled_entries(mu)
-    optimum = _minor_optima(m, mode)
+    """(K, the first unique K x K minor with its matching), see the module docstring."""
     found = None
-    for k in range(1, mu.n + 1):
-        subsets = [(s, sum(1 << i for i in s)) for s in combinations(range(mu.n), k)]
-        hit = next(((a, b) for a in subsets for b in subsets if optimum(a[1], b[1])[1]), None)
-        if hit is None:
-            break
-        found = hit
-    if found is None:
-        return 0, None
-    (rows, a), (cols, b) = found
-    # the unique optimum: at each row, from the top down, the one column
-    # whose sub-minor attains the minor's value
-    pairs = []
-    while a:
-        value = optimum(a, b)[0]
-        r = a.bit_length() - 1
-        a ^= 1 << r
-        j = next(j for j in cols if b >> j & 1 and optimum(a, b ^ (1 << j))[0] + m[r][j] == value)
-        b ^= 1 << j
-        pairs.append((r, j))
-    pairs.sort()
-    return len(rows), (rows, cols, tuple(pairs))
+    for hits, matching in _unique_minors(mu, mode):
+        rows, cols, a, b = found = next(hits)
+    return (0, None) if found is None else (len(rows), (rows, cols, matching(a, b)))
 
 
 def dim_tight_span_witness(mu: DirectedDistance):

@@ -25,10 +25,12 @@ from .errors import DomainError, certify
 from .metrics import (
     DirectedDistance,
     _shown,
+    as_fraction,
     check_directed_tree_metric,
+    check_path_condition,
+    check_tree_condition,
     distance_from_entries,
 )
-from .rank import dim_tight_span, tropical_rank
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -53,6 +55,7 @@ class OrientedTree:
         if len(set(self.vertices)) != len(self.vertices):
             raise DomainError("NotATree", "duplicate vertex name")
         vs = set(self.vertices)
+        object.__setattr__(self, "arcs", tuple((tail, head, as_fraction(length)) for tail, head, length in self.arcs))
         for tail, head, length in self.arcs:
             if tail not in vs:
                 raise DomainError("UnknownVertex", f"arc tail {_shown(tail)}")
@@ -201,7 +204,7 @@ def _realization_from_complex(mu: DirectedDistance, comp: PolyComplex) -> Realiz
 
 def realize_path(mu: DirectedDistance) -> Realization:
     """Directed-path realization, from the skeleton of the tight span."""
-    if dim_tight_span(mu) > 1:
+    if not check_path_condition(mu)[0]:
         raise DomainError("DimensionTooHigh", "tight span dimension exceeds 1")
     r = _realization_from_complex(mu, enumerate_tight_span(mu))
     certify(is_directed_path(r.tree), "skeleton of a 1-dimensional tight span must be a directed path")
@@ -210,7 +213,7 @@ def realize_path(mu: DirectedDistance) -> Realization:
 
 def realize_tree(mu: DirectedDistance) -> Realization:
     """Oriented-tree realization with directed-path subtrees, from the canonical section."""
-    if tropical_rank(mu) > 2:
+    if not check_tree_condition(mu)[0]:
         raise DomainError("RankTooHigh", "tropical rank exceeds 2")
     r = _realization_from_complex(mu, enumerate_section(mu))
     for sub in r.subtrees:
@@ -252,6 +255,7 @@ class SplitTerm:
             raise DomainError("EmptySplitSide", "both sides of a split must be nonempty")
         if set(self.side_a) & set(self.side_b):
             raise DomainError("DuplicateLabel", "split sides must be disjoint")
+        object.__setattr__(self, "coeff", as_fraction(self.coeff))
         if self.coeff < 0:
             raise DomainError("NegativeEntry", "split coefficient must be nonnegative")
 

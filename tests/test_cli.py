@@ -15,7 +15,16 @@ import dtspan
 from dtspan import jsonio
 from dtspan.cli import _parser, main
 from dtspan.jsonio import distance_to_json, network_to_json
-from oracles import json_dumps, random_eulerian_network, random_metric, random_network
+from dtspan.trees import KINDS
+from oracles import (
+    fraction_path_condition,
+    json_dumps,
+    random_distance,
+    random_eulerian_network,
+    random_metric,
+    random_network,
+    sextuple_scan,
+)
 
 ALL_ONE = {
     "labels": ["x0", "x1", "x2"],
@@ -96,6 +105,41 @@ def test_check_path_reports_violator(files, capsys):
     assert out["dim_tight_span"] == 2
     assert len(out["violator"]) == 4
     assert set(out["violator"]) <= set(ALL_ONE["labels"])
+
+
+def test_check_path_and_tree_match_the_scans(files, capsys):
+    # one search per call gives the verdict, the violator and the dimension
+    # or rank; the Fraction scans and the rank module's searches say what
+    # each must be
+    _, write = files
+    rng = random.Random(61)
+    seen = set()
+    for i in range(24):
+        n = 3 + i % 4
+        kind = i // 4 % 3
+        if kind == 0:
+            mu = random_distance(rng, n)
+        elif kind == 1:
+            mu = random_distance(rng, n, top=2, zeros=0.6, den=1)
+        else:
+            # rank <= 2 sends the sextuple scan through every tuple; keep n <= 5
+            r = dtspan.random_realization(KINDS[i % 3], min(n, 5), rng.randrange(10**6))
+            mu = dtspan.evaluate_realization(r)
+        path = write("m.json", distance_to_json(mu))
+        for condition, scan, search, top in (
+            ("path", fraction_path_condition, dtspan.dim_tight_span_witness, "dim_tight_span"),
+            ("tree", sextuple_scan, dtspan.tropical_rank_witness, "tropical_rank"),
+        ):
+            ok, violator = scan(mu)
+            code, out = run(capsys, ["check", condition, path])
+            assert code == 0
+            assert out == {
+                f"{condition}_condition": ok,
+                "violator": None if violator is None else [mu.labels[x] for x in violator],
+                top: search(mu)[0],
+            }
+            seen.add((condition, ok))
+    assert len(seen) == 4
 
 
 def test_check_dtm(files, capsys):

@@ -72,6 +72,7 @@ def _triangle():
         (("a", "b"), (("a", "a", 1),), ("a", "b")),
         (("a", "b"), (("a", "b", -1),), ("a", "b")),
         (("a", "b"), (("a", "b", Fraction(1, 2)),), ("a", "b")),
+        (("a", "b"), (("a", "b", True),), ("a", "b")),
         (("a", "b"), (("a", "b", 1), ("a", "b", 1)), ("a", "b")),
         (("a", "b"), (), ("a",)),
         (("a", "b"), (), ("a", "a")),
@@ -87,6 +88,11 @@ def test_network_validation(vertices, edges, terminals):
 def test_parallel_edges_merge():
     net = network(("a", "b"), (("a", "b", 1), ("a", "b", 2)), ("a", "b"))
     assert net.edges == (("a", "b", 3),)
+    # True is not capacity 1, alone or merged
+    for edges in ((("a", "b", True),), (("a", "b", 1), ("a", "b", True))):
+        with pytest.raises(DomainError) as err:
+            network(("a", "b"), edges, ("a", "b"))
+        assert err.value.code == "InvalidNetwork"
 
 
 def test_enumerate_s_paths_frozen():

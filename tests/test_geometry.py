@@ -84,6 +84,11 @@ def test_point_shape_checks():
     with pytest.raises(DomainError) as err:
         dinf(point(mu, (0, 0, 0), (0, 0, 0)), point(other, (0, 0), (0, 0)))
     assert err.value.code == "GroundSetMismatch"
+    # a float would be stored as its binary expansion, 0.1 as 3602879701896397/2**55
+    for col, row in (((0.1, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, True, 0))):
+        with pytest.raises(DomainError) as err:
+            point(mu, col, row)
+        assert err.value.code == "InputParseError"
 
 
 def test_dinf_basics():

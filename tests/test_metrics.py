@@ -93,6 +93,8 @@ def test_validate_default_labels():
         ([[0, 1], [1, 0]], ("a",), "NonSquare"),
         # one rational parser for the library and the JSON layer: True is not 1
         ([[True]], None, "InputParseError"),
+        # an int label would read as an index: value(0, 1) would give 1, not 2
+        ([[0, 1], [2, 0]], (1, 0), "InputParseError"),
     ],
 )
 def test_validate_rejects_malformed(matrix, labels, code):
@@ -206,6 +208,31 @@ def test_tree_condition_matches_sextuple_scan():
         assert got == sextuple_scan(mu)
         outcomes.add((mu.n, got[0]))
     assert {(4, False), (4, True), (5, False), (5, True)} <= outcomes
+
+
+def test_checkers_match_scans_at_n7_and_n8():
+    # both checkers read their violators off the minor search; the Fraction
+    # scans over all n**4 and n**6 tuples are the reference (n <= 6 is
+    # pinned by the tests above).  A rank <= 2 input sends the sextuple scan
+    # through every tuple, 3-9 s at n = 7, 8, so the draws hold two: the
+    # n = 7 metric and the n = 8 realization.  The zero-heavy draws tie
+    # often, which tests the order among violators.
+    rng = random.Random(911)
+    outcomes = set()
+    for n in (7, 8):
+        draws = [
+            random_distance(rng, n),
+            random_distance(rng, n, top=2, zeros=0.6, den=1),
+            random_metric(rng, n, zeros=0.2),
+        ]
+        if n == 8:
+            draws.append(evaluate_realization(random_realization("path_subtrees", n, rng.randrange(10**6))))
+        for mu in draws:
+            path, tree = check_path_condition(mu), check_tree_condition(mu)
+            assert path == fraction_path_condition(mu)
+            assert tree == sextuple_scan(mu)
+            outcomes.update({("path", path[0]), ("tree", tree[0])})
+    assert len(outcomes) == 4
 
 
 def test_conditions_match_matching_criteria():

@@ -20,8 +20,7 @@ from dtspan import (
     tropical_rank,
     tropical_rank_witness,
 )
-from dtspan.metrics import scaled_entries
-from dtspan.rank import _minor_optima
+from dtspan.metrics import _minor_optima, scaled_entries
 from dtspan.trees import KINDS
 from oracles import (
     brute_force_unique,
@@ -63,6 +62,11 @@ def test_instance_validation():
     with pytest.raises(DomainError) as err:
         MatchingInstance((0,), (0,), ((Fraction(-1),),))
     assert err.value.code == "NegativeEntry"
+    # max_matching would answer 0.5, a float, for an exact value
+    with pytest.raises(DomainError) as err:
+        MatchingInstance((0,), (0,), ((0.5,),))
+    assert err.value.code == "InputParseError"
+    assert type(max_matching(MatchingInstance((0,), (0,), ((1,),)))[0]) is Fraction
     mu = distance_from_entries(ALL_ONE)
     with pytest.raises(DomainError) as err:
         MatchingInstance.from_distance(mu, ("x0", "x0"), ("x1", "x2"))

@@ -30,6 +30,7 @@ from dtspan.trees import (
     random_realization,
     tree_distance,
 )
+from oracles import hungarian_search_unique, random_distance
 
 F1 = Fraction(1)
 
@@ -53,6 +54,9 @@ def _path(*lengths):
         (("a", "b"), (("a", "z", F1),), "UnknownVertex"),
         (("a", "b"), (("z", "b", F1),), "UnknownVertex"),
         (("a", "b"), (("a", "b", Fraction(-1)),), "NegativeEntry"),
+        # tree_distance would add floats
+        (("a", "b"), (("a", "b", 0.5),), "InputParseError"),
+        (("a", "b"), (("a", "b", True),), "InputParseError"),
     ],
 )
 def test_oriented_tree_validation(vertices, arcs, code):
@@ -88,6 +92,8 @@ def test_tree_distance_is_one_way():
     assert tree_distance(tree, "u0", "u2") == 3
     assert tree_distance(tree, "u2", "u0") == 0
     assert tree_distance(tree, "u1", "u1") == 0
+    # int lengths are read as Fractions, so distances stay exact
+    assert type(tree_distance(OrientedTree(("a", "b"), (("a", "b", 2),)), "a", "b")) is Fraction
     steps = tree.path_steps("u0", "u2")
     assert steps == [(F1, True), (Fraction(2), True)]
     assert tree.path_steps("u2", "u0") == [(Fraction(2), False), (F1, False)]
@@ -220,6 +226,10 @@ def test_split_term_validation():
     with pytest.raises(DomainError) as err:
         SplitTerm(("a",), ("b",), Fraction(-1))
     assert err.value.code == "NegativeEntry"
+    with pytest.raises(DomainError) as err:
+        SplitTerm(("a",), ("b",), 0.5)
+    assert err.value.code == "InputParseError"
+    assert type(SplitTerm(("a",), ("b",), 2).value("a", "b")) is Fraction
 
 
 def test_incompatible_splits_detected():
@@ -260,3 +270,37 @@ def test_realization_gates():
             found = True
             break
     assert found
+
+
+def _gate(realize, mu):
+    try:
+        back = realize(mu)
+    except DomainError as err:
+        return str(err)
+    assert evaluate_realization(back).entries == mu.entries
+    return None
+
+
+def test_realize_gates_match_dimension_and_rank():
+    # the gates stop the minor search at size 2 and 3; the Hungarian search
+    # over every minor size says what they must decide
+    rng = random.Random(71)
+    seen = set()
+    for i in range(60):
+        n = 1 + i % 5
+        kind = i // 5 % 4
+        if kind == 0:
+            mu = random_distance(rng, n)
+        elif kind == 1:
+            mu = random_distance(rng, n, top=2, zeros=0.6, den=1)
+        elif kind == 2:
+            mu = random_distance(rng, n, top=3, zeros=0.8, den=1)
+        else:
+            mu = evaluate_realization(random_realization(KINDS[i % 3], n, rng.randrange(10**6)))
+        dim = hungarian_search_unique(mu, "MT")[0]
+        rank = hungarian_search_unique(mu, "PMT")[0]
+        # the gate's own error, not skeleton_graph's DimensionTooHigh behind it
+        assert _gate(realize_path, mu) == ("DimensionTooHigh: tight span dimension exceeds 1" if dim >= 2 else None)
+        assert _gate(realize_tree, mu) == ("RankTooHigh: tropical rank exceeds 2" if rank >= 3 else None)
+        seen.update({("path", dim >= 2), ("tree", rank >= 3)})
+    assert len(seen) == 4
