@@ -1,7 +1,7 @@
 """Scaling record of the geometry layer and of the rank layer: work counts
 and wall time per (layer, n, seed).
 
-    python3 bench/scaling.py BENCH.json
+    python3 bench/scaling.py BENCH.json [PARENT.json]
 
 Run it from a checkout that holds ``src/dtspan``; it imports the program
 from there and uses the standard library only.  For each n = 3..8 and each
@@ -36,6 +36,19 @@ distance afresh.  A record holds the answer and two counts first, summed
 over the pass's minor searches: the memo states the recursion stored and
 the minors the search looked up.  The wall seconds per pass follow, as the
 median of ``RANK_REPEATS`` passes.
+
+The complexes layer runs, for each n = 3..5 and each seed, on the distance
+the geometry layer draws: ``enumerate_tight_span``, ``enumerate_qplus``,
+``enumerate_section``, and ``cli tightspan``, ``cli qplus`` and ``cli
+section``, which run ``dtspan.cli.main`` on a JSON file.  Each pass builds
+the distance afresh.  A record holds the counts first: the vertices of P,
+the ``complexes.Face`` objects and the Fractions built in one pass, and the
+faces and vertices of the complex.  The wall seconds per pass follow, as the
+median of ``COMPLEX_REPEATS`` passes.
+
+Given a second file written by this script on another checkout (the parent
+of a change, say), the output gains a ``comparison``: for each record of
+both, the counts and seconds side by side as [other, this].
 """
 
 from __future__ import annotations
@@ -71,7 +84,7 @@ from dtspan import (  # noqa: E402
     retract_to_tight_span,
     tropical_rank_witness,
 )
-from dtspan import cli, metrics  # noqa: E402
+from dtspan import cli, complexes, metrics  # noqa: E402
 from dtspan.jsonio import distance_to_json  # noqa: E402
 
 SIZES = range(3, 9)
@@ -81,15 +94,21 @@ REPEATS = 7
 RANK_SIZES = range(8, 17)
 RANK_INPUTS = ("path_subtrees", "generic")
 RANK_REPEATS = 3
+COMPLEX_SIZES = range(3, 6)
+COMPLEX_REPEATS = 5
+
+
+def _entries(rng, n: int):
+    return [
+        [Fraction(0) if i == j else Fraction(rng.randint(0, 6), rng.randint(1, 3)) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def _inputs(n: int, seed: int):
     """(distance entries, points of P, points of T), all as Fractions."""
     rng = random.Random(1000 * seed + n)
-    entries = [
-        [Fraction(0) if i == j else Fraction(rng.randint(0, 6), rng.randint(1, 3)) for j in range(n)]
-        for i in range(n)
-    ]
+    entries = _entries(rng, n)
     mu = distance_from_entries(entries)
     p_points = []
     for _ in range(POINTS):
@@ -126,22 +145,45 @@ def _calls(layer: str, entries, p_points, t_points):
 LAYERS = ("retract_to_tight_span", "retract_to_qplus", "geodesic_polyline", "classify_membership", "dinf")
 
 
-def _fractions_built(calls) -> int:
-    built = 0
+@contextlib.contextmanager
+def _counting_new(counts: dict, key: str):
+    """Count the Fractions built inside the block."""
     new = Fraction.__new__
 
     def counting(cls, *args, **kwargs):
-        nonlocal built
-        built += 1
+        counts[key] += 1
         return new(cls, *args, **kwargs)
 
     Fraction.__new__ = staticmethod(counting)
     try:
-        for call in calls:
-            call()
+        yield
     finally:
         Fraction.__new__ = staticmethod(new)
-    return built
+
+
+@contextlib.contextmanager
+def _counting_init(cls, counts: dict, key: str):
+    """Count the instances of cls built inside the block, however they are
+    built (``dataclasses.replace`` included)."""
+    init = cls.__init__
+
+    def counting(self, *args, **kwargs):
+        counts[key] += 1
+        init(self, *args, **kwargs)
+
+    cls.__init__ = counting
+    try:
+        yield
+    finally:
+        cls.__init__ = init
+
+
+def _fractions_built(calls) -> int:
+    counts = {"fractions_built": 0}
+    with _counting_new(counts, "fractions_built"):
+        for call in calls:
+            call()
+    return counts["fractions_built"]
 
 
 def record(layer: str, n: int, seed: int) -> dict:
@@ -239,9 +281,74 @@ def rank_record(layer: str, kind: str, n: int, seed: int, workdir: Path) -> dict
     }
 
 
+def _cli_complex(command: str, path: str):
+    """(faces, vertices) of the complex the CLI printed."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.main([command, path])
+    report = json.loads(out.getvalue())
+    return len(report["faces"]), len(report["vertices"])
+
+
+def _sizes(complex_):
+    return len(complex_.faces), len(complex_.vertices)
+
+
+COMPLEX_LAYERS = {
+    "enumerate_tight_span": lambda mu, path: _sizes(complexes.enumerate_tight_span(mu)),
+    "enumerate_qplus": lambda mu, path: _sizes(complexes.enumerate_qplus(mu)),
+    "enumerate_section": lambda mu, path: _sizes(complexes.enumerate_section(mu)),
+    "cli tightspan": lambda mu, path: _cli_complex("tightspan", path),
+    "cli qplus": lambda mu, path: _cli_complex("qplus", path),
+    "cli section": lambda mu, path: _cli_complex("section", path),
+}
+
+
+def complex_record(layer: str, n: int, seed: int, workdir: Path) -> dict:
+    entries = _entries(random.Random(1000 * seed + n), n)
+    path = workdir / "m.json"
+    path.write_text(json.dumps(distance_to_json(distance_from_entries(entries))))
+    run = COMPLEX_LAYERS[layer]
+    counts = {"p_vertices": len(complexes.polyhedron_vertices(distance_from_entries(entries))),
+              "faces_built": 0, "fractions_built": 0}
+    with _counting_init(complexes.Face, counts, "faces_built"), _counting_new(counts, "fractions_built"):
+        faces, vertices = run(distance_from_entries(entries), str(path))
+    times = []
+    for _ in range(COMPLEX_REPEATS):
+        mu = distance_from_entries(entries)
+        t0 = perf_counter()
+        run(mu, str(path))
+        times.append(perf_counter() - t0)
+    return {
+        "layer": layer,
+        "n": n,
+        "seed": seed,
+        **counts,
+        "faces": faces,
+        "vertices": vertices,
+        "seconds": statistics.median(times),
+    }
+
+
+def _key(r: dict):
+    return r["layer"], r.get("input"), r["n"], r["seed"]
+
+
+def compare(parent: dict, records) -> list:
+    """Each record also in parent, its counts and seconds as [parent, this]."""
+    before = {_key(r): r for r in parent["records"]}
+    out = []
+    for r in records:
+        p = before.get(_key(r))
+        if p is None:
+            continue
+        pairs = {k: [p[k], v] for k, v in r.items() if isinstance(v, (int, float)) and k not in ("n", "seed")}
+        out.append({"layer": r["layer"], "input": r.get("input"), "n": r["n"], "seed": r["seed"], **pairs})
+    return out
+
+
 def main(argv) -> int:
-    if len(argv) != 1:
-        print("usage: python3 bench/scaling.py OUTPUT.json", file=sys.stderr)
+    if len(argv) not in (1, 2):
+        print("usage: python3 bench/scaling.py OUTPUT.json [PARENT.json]", file=sys.stderr)
         return 2
     records = [record(layer, n, seed) for layer in LAYERS for n in SIZES for seed in SEEDS]
     with TemporaryDirectory() as tmp:
@@ -252,13 +359,22 @@ def main(argv) -> int:
             for n in RANK_SIZES
             for seed in SEEDS
         ]
+        complex_records = [
+            complex_record(layer, n, seed, Path(tmp))
+            for layer in COMPLEX_LAYERS
+            for n in COMPLEX_SIZES
+            for seed in SEEDS
+        ]
     out = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "repeats": REPEATS,
         "rank_repeats": RANK_REPEATS,
-        "records": records + rank_records,
+        "complex_repeats": COMPLEX_REPEATS,
+        "records": records + rank_records + complex_records,
     }
+    if len(argv) == 2:
+        out["comparison"] = compare(json.loads(Path(argv[1]).read_text()), out["records"])
     Path(argv[0]).write_text(json.dumps(out, indent=1) + "\n")
     for r in records:
         print(f"{r['layer']:22} n={r['n']} seed={r['seed']} calls={r['calls']:3} "
@@ -266,6 +382,10 @@ def main(argv) -> int:
     for r in rank_records:
         print(f"{r['layer']:22} {r['input']:13} n={r['n']:2} seed={r['seed']} states={r['memo_states']:8} "
               f"lookups={r['minor_lookups']:8} {r['seconds'] * 1000:9.3f} ms")
+    for r in complex_records:
+        print(f"{r['layer']:22} n={r['n']} seed={r['seed']} p_vertices={r['p_vertices']:4} "
+              f"faces_built={r['faces_built']:5} fractions={r['fractions_built']:6} "
+              f"faces={r['faces']:5} vertices={r['vertices']:4} {r['seconds'] * 1000:9.3f} ms")
     return 0
 
 

@@ -14,20 +14,22 @@ pipeline:
    from double description itself: it is the ray's zero set with the
    homogenizing bit 2n cleared, so no coordinate is summed or compared.
    The bit layout is the binding mask that ``geometry`` defines and reads
-   at single points.  Keep the vertices whose binding set is minimal:
-   every column or row that no tight coupling covers is a zero coordinate,
-   the same test (``geometry._uncovered``) that places a point in T.  Only
-   these vertices are written out as Fractions;
-3. read the faces of T off binding sets: a face's binding set is the
+   at single points.  Each complex is cut out of P by a test on binding
+   masks, built from ``geometry._uncovered`` (the columns and rows that no
+   tight coupling covers): T keeps the masks whose uncovered coordinates
+   are all zero coordinates, Q+ those with none uncovered, and the
+   canonical section the Q+ masks with a zero row.  The test runs on the
+   vertices first, and only the kept ones are written out as Fractions;
+3. read the faces off binding sets: a face's binding set is the
    intersection of its vertices' binding sets, so the candidates are the
-   intersection closure of the vertex bitmasks.  Each candidate is the
-   binding set of the average of the vertices above it, so it is a face of
-   T exactly when it passes the same minimality test, and its vertices,
-   tight couplings, zero coordinates, dimension and directions all come
-   from the bitmask alone;
-4. subcomplexes are filters of T: Q+ keeps the faces whose tight couplings
-   cover every column and row; the canonical section keeps the Q+ faces on
-   which some row coordinate vanishes identically.
+   intersection closure of the kept vertices' bitmasks.  Each candidate is
+   the binding set of the average of the vertices above it, so it is a
+   face of the complex exactly when it passes the same test, and its
+   vertices, tight couplings, zero coordinates, dimension and directions
+   all come from the bitmask alone.  Each test holds on every mask
+   containing one it holds on, so a kept face's vertices are all kept:
+   closing over them alone finds every kept face, with the vertex and face
+   order of T restricted, and no face outside the complex is built.
 
 Face dimension is the number of components of the tight-coupling graph free
 of zero coordinates (``geometry.free_components`` on the binding mask),
@@ -37,10 +39,10 @@ Everything is ordered canonically so output is byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .errors import DomainError, certify
 from .geometry import ExtPoint, _mask_edges, _point, _sides, _uncovered, dinf, free_components
@@ -163,12 +165,10 @@ class PolyComplex:
         return max((f.dim for f in self.faces), default=0)
 
     def maximal_faces(self) -> List[int]:
+        # faces are sorted by (dim, vertex_ids) and a face lies only in faces
+        # of higher dimension, so only the faces after it can contain it
         vs = [frozenset(f.vertex_ids) for f in self.faces]
-        return [
-            i
-            for i, a in enumerate(vs)
-            if not any(i != j and a < b for j, b in enumerate(vs))
-        ]
+        return [i for i, a in enumerate(vs) if not any(a < b for b in vs[i + 1 :])]
 
     def subcomplex_elements(self, element: int) -> List[int]:
         """Faces on which both coordinates of the element vanish."""
@@ -185,19 +185,15 @@ def _face(n: int, ids: Tuple[int, ...], b: int) -> Face:
     return Face(ids, len(free), _mask_edges(n, b), zc, zr, tuple(free))
 
 
-def enumerate_tight_span(mu: DirectedDistance) -> PolyComplex:
-    """The directed tight span as a finite polyhedral complex."""
+def _complex(mu: DirectedDistance, which: str, keep: Callable[[int, int], bool]) -> PolyComplex:
+    """The faces of T whose binding masks pass keep(n, b), a test that holds
+    on every mask containing one it holds on (steps 2 and 3 above)."""
     if mu.n > ENUM_CAP:
         raise DomainError("GroundSetTooLarge", f"n={mu.n} exceeds enumeration cap {ENUM_CAP}")
     n = mu.n
-
-    def minimal(b: int) -> bool:
-        # every column and row that no tight coupling covers is a zero coordinate
-        return not _uncovered(n, b) & ~b
-
     scale, rays = _vertex_rays(mu)
     found = sorted(
-        ((_vertex(mu, scale, r), b) for r, b in rays if minimal(b)), key=lambda pb: pb[0].key()
+        ((_vertex(mu, scale, r), b) for r, b in rays if keep(n, b)), key=lambda pb: pb[0].key()
     )
     vertices = [p for p, _ in found]
     bindings = [b for _, b in found]
@@ -217,35 +213,27 @@ def enumerate_tight_span(mu: DirectedDistance) -> PolyComplex:
     faces = [
         _face(n, tuple(i for i, vb in enumerate(bindings) if vb & b == b), b)
         for b in candidates
-        if minimal(b)
+        if keep(n, b)
     ]
     faces.sort(key=lambda f: (f.dim, f.vertex_ids))
-    return PolyComplex("T", mu.labels, tuple(vertices), tuple(faces))
+    return PolyComplex(which, mu.labels, tuple(vertices), tuple(faces))
 
 
-def _in_qplus(n: int, f: Face) -> bool:
-    """Every column and every row is covered by a tight coupling."""
-    return len({s for s, _ in f.edges}) == n and len({t for _, t in f.edges}) == n
-
-
-def _restrict(parent: PolyComplex, keep: List[Face], which: str) -> PolyComplex:
-    used = sorted({i for f in keep for i in f.vertex_ids})
-    remap = {old: new for new, old in enumerate(used)}
-    faces = tuple(replace(f, vertex_ids=tuple(remap[i] for i in f.vertex_ids)) for f in keep)
-    vertices = tuple(parent.vertices[i] for i in used)
-    return PolyComplex(which, parent.ground_labels, vertices, faces)
+def enumerate_tight_span(mu: DirectedDistance) -> PolyComplex:
+    """The directed tight span as a finite polyhedral complex: every column
+    and row that no tight coupling covers is a zero coordinate."""
+    return _complex(mu, "T", lambda n, b: not _uncovered(n, b) & ~b)
 
 
 def enumerate_qplus(mu: DirectedDistance) -> PolyComplex:
-    """The subcomplex of minimal elements of the coupling polyhedron in the orthant."""
-    t = enumerate_tight_span(mu)
-    return _restrict(t, [f for f in t.faces if _in_qplus(mu.n, f)], "Qplus")
+    """The subcomplex of minimal elements of the coupling polyhedron in the
+    orthant: tight couplings cover every column and row."""
+    return _complex(mu, "Qplus", lambda n, b: not _uncovered(n, b))
 
 
 def enumerate_section(mu: DirectedDistance) -> PolyComplex:
     """The canonical balanced section: Q+ faces with an identically zero row."""
-    t = enumerate_tight_span(mu)
-    return _restrict(t, [f for f in t.faces if _in_qplus(mu.n, f) and f.zero_rows], "Section")
+    return _complex(mu, "Section", lambda n, b: not _uncovered(n, b) and (b >> n & ((1 << n) - 1)) != 0)
 
 
 # -- skeleton -----------------------------------------------------------------

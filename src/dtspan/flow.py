@@ -433,10 +433,11 @@ def verify_minmax(net: Network, mu: DirectedDistance, mode: str = "T") -> dict:
 
     if mode == "T":
         tight = tighten_extension(mu, ext)
-        certify(network_objective(net, tight.d) == min_val, "tightening changed the objective")
+        tight_objective = network_objective(net, tight.d)
+        certify(tight_objective == min_val, "tightening changed the objective")
         for s in mu.labels:
             certify(tight.point_of(s) == canonical_points(mu, s)[0], "terminals must map to mu_s")
-        report["tight_objective"] = network_objective(net, tight.d)
+        report["tight_objective"] = tight_objective
         report["tight_extension"] = tight.d
         return report
 

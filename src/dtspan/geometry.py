@@ -145,12 +145,10 @@ class EqualityGraph:
     edges: frozenset  # pairs (s, t): column s joined to row t
 
     def isolated_cols(self) -> frozenset:
-        covered = {s for s, _ in self.edges}
-        return frozenset(s for s in range(self.n) if s not in covered)
+        return frozenset(_sides(self.n, _uncovered(self.n, self._mask()))[0])
 
     def isolated_rows(self) -> frozenset:
-        covered = {t for _, t in self.edges}
-        return frozenset(t for t in range(self.n) if t not in covered)
+        return frozenset(_sides(self.n, _uncovered(self.n, self._mask()))[1])
 
     def _mask(self) -> int:
         """The edges as a binding mask without zero coordinates."""

@@ -13,6 +13,12 @@ Fractions and recomputes every zero set on every round, and
 ``witness_tight_span`` checks each candidate face at the average of its
 vertices; comparing the library with them checks its integer arithmetic
 and its bookkeeping of zero and binding sets as bitmasks.
+``filtered_subcomplex`` is the library's former route to Q+ and the
+canonical section: filter the faces of T with set tests on their tight
+couplings and zero rows, then renumber the vertices the kept faces use,
+where the library tests binding masks before any vertex or face is built;
+``pairwise_maximal_faces`` compares every pair of faces, where the library
+compares each face only with the faces after it.
 ``sweep_retract_to_tight_span`` and ``sweep_retract_to_qplus`` move one
 ``retract_ray`` step at a time (the library's former ray step); comparing
 them with the closed-form retractions checks every step length.
@@ -55,7 +61,7 @@ it builds.
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -80,6 +86,7 @@ from dtspan import (
     retract_to_tight_span,
     validate_distance,
 )
+from dtspan.complexes import PolyComplex
 from dtspan.errors import certify
 from dtspan.jsonio import distance_to_json, fraction_to_str, point_to_json
 from dtspan.lp import OPTIMAL, UNBOUNDED, LPSolution
@@ -450,6 +457,32 @@ def witness_tight_span(mu: DirectedDistance):
         faces.append(_face_from_witness(mu, ids, witness))
     faces.sort(key=lambda f: (f[1], f[0]))
     return vertices, faces
+
+
+def filtered_subcomplex(t: PolyComplex, which: str) -> PolyComplex:
+    """Q+ ("Qplus") or the canonical section ("Section") cut out of the
+    complex T by filtering its faces: keep those whose tight couplings touch
+    every column and every row, and for the section also some zero row; then
+    keep the vertices the kept faces use, renumbered in T's order."""
+    n = len(t.ground_labels)
+    keep = [
+        f
+        for f in t.faces
+        if {s for s, _ in f.edges} == set(range(n))
+        and {r for _, r in f.edges} == set(range(n))
+        and (which == "Qplus" or f.zero_rows)
+    ]
+    used = sorted({i for f in keep for i in f.vertex_ids})
+    renumber = {old: new for new, old in enumerate(used)}
+    faces = tuple(replace(f, vertex_ids=tuple(renumber[i] for i in f.vertex_ids)) for f in keep)
+    return PolyComplex(which, t.ground_labels, tuple(t.vertices[i] for i in used), faces)
+
+
+def pairwise_maximal_faces(complex_: PolyComplex) -> List[int]:
+    """Faces whose vertex set lies in no other face's, by comparing every
+    pair of faces."""
+    vs = [frozenset(f.vertex_ids) for f in complex_.faces]
+    return [i for i, a in enumerate(vs) if not any(i != j and a < b for j, b in enumerate(vs))]
 
 
 # -- retractions by ray steps ------------------------------------------------------

@@ -29,6 +29,8 @@ from dtspan.complexes import _vertex, _vertex_rays, polyhedron_vertices
 from oracles import (
     affine_rank,
     binding_mask,
+    filtered_subcomplex,
+    pairwise_maximal_faces,
     random_distance,
     random_points_of_every_class,
     random_t_point,
@@ -220,6 +222,41 @@ def test_integer_double_description_with_mixed_denominators():
                 for f in t.faces
             ] == faces
     assert wide >= 20
+
+
+def _subcomplex_draws(seed: int):
+    """Seeded distances on n = 1..5 of three kinds in turn: integer entries,
+    rational entries over denominators 1..5, and zero-heavy entries."""
+    rng = random.Random(seed)
+    for n, count in ((1, 3), (2, 9), (3, 12), (4, 9), (5, 3)):
+        for k in range(count):
+            kind = k % 3
+            yield random_distance(rng, n, zeros=(0.1, 0.2, 0.6)[kind], den=(1, 5, 2)[kind])
+
+
+def test_subcomplexes_match_filtered_route():
+    # Q+ and the section, assembled from the vertices and faces that pass
+    # their mask test, equal the faces of T filtered by set tests with the
+    # used vertices renumbered
+    cut = {"Qplus": 0, "Section": 0}
+    for mu in _subcomplex_draws(81):
+        t = parent = enumerate_tight_span(mu)
+        for enumerate_, which in ((enumerate_qplus, "Qplus"), (enumerate_section, "Section")):
+            got, want = enumerate_(mu), filtered_subcomplex(t, which)
+            assert [v.key() for v in got.vertices] == [v.key() for v in want.vertices]
+            assert got.faces == want.faces
+            assert got.maximal_faces() == want.maximal_faces()
+            assert got == want
+            cut[which] += len(got.faces) < len(parent.faces)
+            parent = got
+    # on many draws each test drops faces of the complex it is cut from
+    assert min(cut.values()) >= 10
+
+
+def test_maximal_faces_match_pairwise_scan():
+    for mu in _subcomplex_draws(82):
+        for cx in (enumerate_tight_span(mu), enumerate_qplus(mu), enumerate_section(mu)):
+            assert cx.maximal_faces() == pairwise_maximal_faces(cx)
 
 
 def test_vertex_membership_classes():

@@ -17,6 +17,7 @@ import dtspan
 import dtspan.geometry as geometry
 from dtspan import (
     DomainError,
+    EqualityGraph,
     ExtPoint,
     Fiber,
     MetricExtension,
@@ -124,6 +125,16 @@ def test_equality_graph_requires_pi():
     k = equality_graph(line, point(line, (1, 0, 1), (1, 0, 1)))
     assert (0, 1) in k.edges and (1, 0) in k.edges
     assert not k.isolated_cols() and not k.isolated_rows()
+
+
+def test_isolated_columns_and_rows_match_sets():
+    rng = random.Random(19)
+    for n in range(1, 6):
+        for _ in range(20):
+            edges = frozenset((s, t) for s in range(n) for t in range(n) if rng.random() < 0.3)
+            g = EqualityGraph(n, edges)
+            assert g.isolated_cols() == frozenset(range(n)) - {s for s, _ in edges}
+            assert g.isolated_rows() == frozenset(range(n)) - {t for _, t in edges}
 
 
 def test_canonical_points_frozen():
