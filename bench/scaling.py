@@ -234,7 +234,8 @@ RANK_LAYERS = {
 @contextlib.contextmanager
 def _counting_searches(counts: dict):
     """Count the memo states and the minor lookups of every minor search
-    started inside the block, reading the memo from the recursion's closure."""
+    started inside the block, reading the memo from the closure of the
+    lookup function that ``metrics._minor_optima`` returns."""
     real = metrics._minor_optima
     searches = []
 

@@ -26,7 +26,7 @@ from .geometry import (
     retract_to_section,
     retract_to_tight_span,
 )
-from .metrics import _condition, _shown, check_directed_tree_metric, is_metric
+from .metrics import CONDITIONS, _search, _shown, check_directed_tree_metric, is_metric
 from .rank import dim_tight_span_witness, tropical_rank_witness
 from .trees import (
     evaluate_realization,
@@ -44,11 +44,8 @@ COMPLEXES = {
     "section": enumerate_section,
 }
 
-# condition -> (matching mode, minor size, verdict key, largest-size key)
-CONDITIONS = {
-    "path": ("MT", 2, "path_condition", "dim_tight_span"),
-    "tree": ("PMT", 3, "tree_condition", "tropical_rank"),
-}
+# condition -> (verdict key, largest-size key); the search is metrics.CONDITIONS'
+CHECK_KEYS = {"path": ("path_condition", "dim_tight_span"), "tree": ("tree_condition", "tropical_rank")}
 
 
 def _load(path: str):
@@ -104,10 +101,10 @@ def _cmd_validate(args) -> dict:
 def _cmd_check(args) -> dict:
     mu = jsonio.distance_from_json(_load(args.matrix))
     if args.condition in CONDITIONS:
-        mode, size, holds, top = CONDITIONS[args.condition]
+        holds, top = CHECK_KEYS[args.condition]
         # one search gives the verdict, the violator and the dimension or rank
-        ok, witness, k = _condition(mu, mode, size, full=True)
-        return {holds: ok, "violator": None if witness is None else [mu.labels[i] for i in witness], top: k}
+        k, _, violator = _search(mu, *CONDITIONS[args.condition])
+        return {holds: violator is None, "violator": None if violator is None else [mu.labels[i] for i in violator], top: k}
     return {"directed_tree_metric": check_directed_tree_metric(mu)}
 
 

@@ -38,7 +38,6 @@ from .lp import LinearProgram, solve
 from .metrics import DirectedDistance, _shown, cycle_length, distance_from_entries, is_metric, scaled_entries
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 
 PATH_ENUM_CAP = 10
 
@@ -154,16 +153,16 @@ def _path_lp(net: Network, mu: DirectedDistance) -> Tuple[Fraction, Multiflow, T
     paths = enumerate_s_paths(net)
     if not paths:
         return F0, Multiflow((), ()), (F0,) * len(net.edges)
-    # one row per edge, one column per path: 1 where the path steps along the edge
+    # one row per edge, one column per path: int 1 where the path steps along the edge
     row_of = {(tail, head): i for i, (tail, head, _) in enumerate(net.edges)}
-    rows = [[F0] * len(paths) for _ in net.edges]
+    rows = [[0] * len(paths) for _ in net.edges]
     for j, path in enumerate(paths):
         for step in zip(path, path[1:]):
-            rows[row_of[step]][j] = F1
+            rows[row_of[step]][j] = 1
     # tuples from lists, not from generators: CPython grows the latter by
     # resizing, which over many solves parks memory in its tuple free lists
     objective = tuple([mu.value(path[0], path[-1]) for path in paths])
-    rhs = tuple([Fraction(c) for _, _, c in net.edges])
+    rhs = tuple([c for _, _, c in net.edges])
     sol = solve(LinearProgram(objective, tuple([tuple(row) for row in rows]), rhs))
     certify(sol.status == "optimal", "path LP is feasible (zero flow) and capacity-bounded")
     kept = [(path, lam) for path, lam in zip(paths, sol.x) if lam > 0]
@@ -257,7 +256,7 @@ def _shortest_path_extension(
 
 def _certified_extension(
     net: Network, mu: DirectedDistance, max_val: Fraction, lengths: Sequence[Fraction]
-) -> MetricExtension:
+) -> Tuple[Fraction, MetricExtension]:
     """The minimum side, built from the path LP's optimal edge lengths.
 
     Dual feasibility (every S-path is at least as long as mu between its
@@ -273,11 +272,9 @@ def _certified_extension(
         raise DomainError(
             "InternalCertificate", f"path LP duals give no extension of mu: {err.message}"
         ) from None
-    certify(
-        network_objective(net, ext.d) == max_val,
-        "extension objective differs from the multiflow maximum",
-    )
-    return ext
+    objective = network_objective(net, ext.d)
+    certify(objective == max_val, "extension objective differs from the multiflow maximum")
+    return objective, ext
 
 
 def dual_metric_lp(net: Network, mu: DirectedDistance) -> Tuple[Fraction, MetricExtension]:
@@ -290,7 +287,7 @@ def dual_metric_lp(net: Network, mu: DirectedDistance) -> Tuple[Fraction, Metric
     if not is_metric(mu):
         raise DomainError("NotAMetric", "the dual LP ranges over extensions of a metric")
     value, _, lengths = _path_lp(net, mu)
-    return value, _certified_extension(net, mu, value, lengths)
+    return _certified_extension(net, mu, value, lengths)
 
 
 def network_objective(net: Network, d: DirectedDistance) -> Fraction:
@@ -418,8 +415,7 @@ def verify_minmax(net: Network, mu: DirectedDistance, mode: str = "T") -> dict:
 
     _require_terminal_match(net, mu)
     max_val, flow, lengths = _path_lp(net, mu)
-    ext = _certified_extension(net, mu, max_val, lengths)
-    min_val = network_objective(net, ext.d)
+    min_val, ext = _certified_extension(net, mu, max_val, lengths)
     report = {
         "mode": mode,
         "max": max_val,
@@ -442,7 +438,7 @@ def verify_minmax(net: Network, mu: DirectedDistance, mode: str = "T") -> dict:
         return report
 
     total = sum((cycle_length(ext.d, cyc) for cyc in cycles), F0)
-    certify(total == network_objective(net, ext.d), "cycle decomposition must cover the objective")
+    certify(total == min_val, "cycle decomposition must cover the objective")
     rho = {}
     for x in ext.d.labels:
         p = retract_to_tight_span(mu, ext.point_of(x))

@@ -29,8 +29,9 @@ The minor search counts a minor's perfect matchings in mode PMT and all of
 its matchings, the empty one included, in mode MT.  The path condition
 fails where a 2 x 2 minor has a unique MT optimum (dim T >= 2), the tree
 condition where a 3 x 3 minor has a unique PMT optimum (tropical rank
->= 3).  One memoized recursion answers every minor of one search.  For a row mask A and a
-column mask B with |A| = |B|, expand along the highest row r of A:
+>= 3); ``CONDITIONS`` holds both pairs.  One memoized recursion answers
+every minor of one search.  For a row mask A and a column mask B with
+|A| = |B|, expand along the highest row r of A:
 
     opt(A, B) = max over j in B of opt(A - r, B - j) + m[r][j],
 
@@ -42,7 +43,8 @@ needed too, since dropping a zero-weight edge ties with a smaller matching.
 Expanding along the highest row keeps the row masks of A's states to the
 prefixes of A, so a search visits at most C(2n, n) states (A, B), with O(k)
 work each, and neighbouring minors share their sub-minors.  The memo lives
-for one search.  A unique optimum is read off the memo by following the
+for one search, and no closure refers to itself, so it is freed when the
+search returns.  A unique optimum is read off the memo by following the
 unique maximizing column from the top row down.
 
 Both uniqueness notions are closed downward.  If a (k+1) x (k+1) minor has
@@ -51,7 +53,8 @@ column leaves a k x k minor whose unique optimum of the same kind is M - e:
 a rival N there would make N + e a rival of M.  So the sizes with a unique
 minor form an interval 1..K, and the search runs bottom-up: sizes k = 1, 2,
 ... in turn, each scanned in lexicographic order of (rows, cols), stopping
-at the first size with none.
+at the first size with none.  ``_search`` is that loop, for ``rank``, the
+checkers and ``cli check`` alike.
 """
 
 from __future__ import annotations
@@ -272,94 +275,96 @@ def congruence_witness(d: DirectedDistance, d2: DirectedDistance) -> Optional[Po
     return {d.labels[x]: alpha[x] for x in range(n)}
 
 
+# condition -> (matching mode, minor size) of the minors that violate it
+CONDITIONS = {"path": ("MT", 2), "tree": ("PMT", 3)}
+
+
+def _expand(m, n: int, positive: bool, memo: dict, a: int, b: int):
+    """(value, unique) of the minor (A, B) from its sub-minors, memoized."""
+    r = a.bit_length() - 1
+    rest = a ^ (1 << r)
+    base = rest << n
+    row = m[r]
+    best, unique = -1, False
+    c = b
+    while c:
+        low = c & -c
+        c ^= low
+        # a stored pair is a nonempty tuple, so never falsy
+        value, sub_unique = memo.get(base | b ^ low) or _expand(m, n, positive, memo, rest, b ^ low)
+        w = row[low.bit_length() - 1]
+        value += w
+        if value > best:
+            best, unique = value, sub_unique and (w > 0 or not positive)
+        elif value == best:
+            unique = False
+    memo[(a << n) | b] = got = (best, unique)
+    return got
+
+
 def _minor_optima(m: Sequence[Sequence[int]], mode: str):
     """optimum(A, B) -> (value, unique) for the minor of the integer matrix m
     on row mask A and column mask B, |A| = |B| (see the module docstring).
 
     States are memoized under (A << n) | B for the life of the returned
-    function.
+    function, which does not refer to itself, so no cycle keeps the memo.
     """
     n = len(m)
     positive = mode == "MT"
     memo = {0: (0, True)}
 
-    def expand(a: int, b: int):
-        r = a.bit_length() - 1
-        rest = a ^ (1 << r)
-        base = rest << n
-        row = m[r]
-        best, unique = -1, False
-        c = b
-        while c:
-            low = c & -c
-            c ^= low
-            # a stored pair is a nonempty tuple, so never falsy
-            value, sub_unique = memo.get(base | b ^ low) or expand(rest, b ^ low)
-            w = row[low.bit_length() - 1]
-            value += w
-            if value > best:
-                best, unique = value, sub_unique and (w > 0 or not positive)
-            elif value == best:
-                unique = False
-        memo[(a << n) | b] = got = (best, unique)
-        return got
-
     def optimum(a: int, b: int):
-        return memo.get((a << n) | b) or expand(a, b)
+        return memo.get((a << n) | b) or _expand(m, n, positive, memo, a, b)
 
     return optimum
 
 
-def _unique_minors(mu: DirectedDistance, mode: str):
-    """The bottom-up search: for k = 1, 2, ... until the first k with none,
-    an iterator over the k x k minors with a unique optimum, as (rows, cols,
-    A, B) in lexicographic order, and matching(A, B) -> the sorted pairs."""
+def _matching(m, optimum, a: int, b: int):
+    """The unique optimum of the minor (A, B) as sorted (row, col) pairs: at
+    each row, from the top down, the one column whose sub-minor attains the
+    minor's value."""
+    pairs = []
+    while a:
+        value = optimum(a, b)[0]
+        r = a.bit_length() - 1
+        a ^= 1 << r
+        j = next(j for j in range(len(m)) if b >> j & 1 and optimum(a, b ^ (1 << j))[0] + m[r][j] == value)
+        b ^= 1 << j
+        pairs.append((r, j))
+    return tuple(sorted(pairs))
+
+
+def _search(mu: DirectedDistance, mode: str, size: int = 0, full: bool = True):
+    """(K, witness, violator) from the bottom-up search, stopped after
+    ``size`` unless ``full``.  The witness is the first unique K x K minor
+    as (rows, cols, matching), its matching read only when ``size`` is 0.
+    The violator is the smallest (rows, cols) whose ``size`` x ``size``
+    minor has rows[i] -> cols[i] as its unique optimum, or None.  Repeated
+    rows or columns tie with a transposition, and sorting the rows with
+    their columns keeps a violator one.  So the smallest is the first row
+    set with a unique minor, in ``combinations`` order, plus the smallest
+    column tuple those minors match to it.
+    """
     n = mu.n
     _, m = scaled_entries(mu)
     optimum = _minor_optima(m, mode)
-
-    def matching(a: int, b: int):
-        # at each row, from the top down, the one column whose sub-minor
-        # attains the minor's value
-        pairs = []
-        while a:
-            value = optimum(a, b)[0]
-            r = a.bit_length() - 1
-            a ^= 1 << r
-            j = next(j for j in range(n) if b >> j & 1 and optimum(a, b ^ (1 << j))[0] + m[r][j] == value)
-            b ^= 1 << j
-            pairs.append((r, j))
-        return tuple(sorted(pairs))
-
+    top, witness, violator = 0, None, None
     for k in range(1, n + 1):
         subsets = [(s, sum(1 << i for i in s)) for s in combinations(range(n), k)]
         hits = ((r, c, a, b) for (r, a), (c, b) in product(subsets, subsets) if optimum(a, b)[1])
         first = next(hits, None)
         if first is None:
-            return
-        yield chain((first,), hits), matching
-
-
-def _condition(mu: DirectedDistance, mode: str, size: int, full: bool = False):
-    """(holds, violator, K): no size x size minor has a unique optimum, the
-    smallest violator, and the largest size with a unique minor (``size`` at
-    most, unless ``full``).
-
-    (rows, cols) violates when rows[i] -> cols[i] is its minor's unique
-    optimum.  Repeated rows or columns tie with a transposition, and sorting
-    the rows with their columns keeps a violator one.  So the smallest is
-    the first row set with a unique minor, in ``combinations`` order, plus
-    the smallest column tuple those minors match to it.
-    """
-    violator, top = None, 0
-    for top, (hits, matching) in enumerate(_unique_minors(mu, mode), 1):
-        if top == size:
-            first = next(hits)
+            break
+        top, witness = k, first
+        if k == size:
             same = chain((first,), takewhile(lambda hit: hit[0] == first[0], hits))
-            violator = first[0] + min(tuple(j for _, j in matching(a, b)) for _, _, a, b in same)
+            violator = first[0] + min(tuple(j for _, j in _matching(m, optimum, a, b)) for _, _, a, b in same)
             if not full:
                 break
-    return violator is None, violator, top
+    if witness:
+        rows, cols, a, b = witness
+        witness = rows, cols, None if size else _matching(m, optimum, a, b)
+    return top, witness, violator
 
 
 def check_path_condition(mu: DirectedDistance) -> Tuple[bool, Optional[Tuple[int, int, int, int]]]:
@@ -370,7 +375,8 @@ def check_path_condition(mu: DirectedDistance) -> Tuple[bool, Optional[Tuple[int
     Returns (True, None) or (False, first violating quadruple), read off
     the 2 x 2 minors with a unique MT optimum.
     """
-    return _condition(mu, "MT", 2)[:2]
+    violator = _search(mu, *CONDITIONS["path"], full=False)[2]
+    return violator is None, violator
 
 
 def check_tree_condition(mu: DirectedDistance) -> Tuple[bool, Optional[Tuple[int, ...]]]:
@@ -381,7 +387,8 @@ def check_tree_condition(mu: DirectedDistance) -> Tuple[bool, Optional[Tuple[int
     ways to match {x,y,z} with {u,v,w}: no 3 x 3 minor has a unique PMT
     optimum.
     """
-    return _condition(mu, "PMT", 3)[:2]
+    violator = _search(mu, *CONDITIONS["tree"], full=False)[2]
+    return violator is None, violator
 
 
 def check_directed_tree_metric(mu: DirectedDistance) -> bool:

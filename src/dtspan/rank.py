@@ -13,8 +13,8 @@ Since entries are nonnegative the two optimum values agree on every
 submatrix; only the uniqueness question differs, by ties with smaller
 matchings, i.e. zero-weight edges in the optimum.
 
-The search for the minors with a unique optimum is ``metrics``'s, whose
-path and tree checkers stop it at sizes 2 and 3.  Here it runs to the
+The search for the minors with a unique optimum is ``metrics._search``,
+which also decides the path and tree conditions.  Here it runs to the
 largest size K with one, and the witness is the first unique K x K minor,
 as a top-down scan would find it, with its matching.
 
@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .errors import DomainError
-from .metrics import DirectedDistance, Element, _unique_minors, as_fraction
+from .metrics import DirectedDistance, Element, _search, as_fraction
 
 
 @dataclass(frozen=True)
@@ -201,17 +201,9 @@ def is_unique_optimum(instance: MatchingInstance, mode: str = "MT") -> bool:
     return not _has_alternating_cycle(tight, row_to_col)
 
 
-def _search_unique(mu: DirectedDistance, mode: str):
-    """(K, the first unique K x K minor with its matching), see the module docstring."""
-    found = None
-    for hits, matching in _unique_minors(mu, mode):
-        rows, cols, a, b = found = next(hits)
-    return (0, None) if found is None else (len(rows), (rows, cols, matching(a, b)))
-
-
 def dim_tight_span_witness(mu: DirectedDistance):
     """(dim, certificate) where the certificate is (rows, cols, matching)."""
-    return _search_unique(mu, "MT")
+    return _search(mu, "MT")[:2]
 
 
 def dim_tight_span(mu: DirectedDistance) -> int:
@@ -221,7 +213,7 @@ def dim_tight_span(mu: DirectedDistance) -> int:
 
 def tropical_rank_witness(mu: DirectedDistance):
     """(rank, certificate); rank is 1 + the dimension of the tropical span."""
-    return _search_unique(mu, "PMT")
+    return _search(mu, "PMT")[:2]
 
 
 def tropical_rank(mu: DirectedDistance) -> int:

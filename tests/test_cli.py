@@ -2,6 +2,7 @@
 file-writing options.  Everything goes through main(argv) on temp files."""
 
 import argparse
+import gc
 import hashlib
 import json
 import random
@@ -140,6 +141,34 @@ def test_check_path_and_tree_match_the_scans(files, capsys):
             }
             seen.add((condition, ok))
     assert len(seen) == 4
+
+
+def test_searches_leave_no_cyclic_garbage(files, capsys, monkeypatch):
+    # a minor search frees its memo when it returns, so after a warm-up run
+    # no command leaves objects that only the cyclic collector reclaims,
+    # whether its gate passes or fails; the writer oracle is set aside,
+    # because json.dumps(indent=2) leaves cycles of its own
+    monkeypatch.undo()
+    _, write = files
+    generic = write("g.json", {
+        "labels": ["a", "b", "c", "d", "e"],
+        "matrix": [[0, 5, 9, 2, 7], [3, 0, 8, 6, 1], [4, 7, 0, 5, 9], [8, 2, 6, 0, 3], [1, 9, 4, 7, 0]],
+    })
+    one_way, all_one = write("w.json", ONE_WAY), write("a.json", ALL_ONE)
+    run(capsys, ["rank", generic])
+    for argv, code in (
+        (["rank", generic], 0),
+        (["dim", generic], 0),
+        (["check", "path", generic], 0),
+        (["check", "tree", all_one], 0),
+        (["realize", "path", one_way], 0),
+        (["realize", "path", all_one], 1),
+        (["realize", "tree", one_way], 0),
+        (["realize", "tree", generic], 1),
+    ):
+        gc.collect()
+        assert run(capsys, argv)[0] == code
+        assert gc.collect() == 0, argv
 
 
 def test_check_dtm(files, capsys):

@@ -201,9 +201,10 @@ def test_path_lp_matches_recomputed_pricing(monkeypatch):
             tuple(F1 if (t, h) in zip(p, p[1:]) else F0 for p in paths) for t, h, _ in net.edges
         )
         assert lp.rhs == tuple(Fraction(c) for _, _, c in net.edges)
-        want = recomputed_pricing_solve(
-            GeneralProgram(lp.objective, lp.rows, ("<=",) * len(lp.rows), lp.rhs)
-        )
+        # the oracle divides with /, so it takes Fraction copies of the int cells
+        rows = tuple(tuple(Fraction(a) for a in row) for row in lp.rows)
+        rhs = tuple(Fraction(b) for b in lp.rhs)
+        want = recomputed_pricing_solve(GeneralProgram(lp.objective, rows, ("<=",) * len(rows), rhs))
         assert (sol.x, sol.value, sol.duals) == (want.x, want.value, want.duals)
         assert (value, duals) == (want.value, want.duals)
         assert mflow.values == tuple(v for v in want.x if v > 0)
