@@ -46,6 +46,16 @@ the ``complexes.Face`` objects and the Fractions built in one pass, and the
 faces and vertices of the complex.  The wall seconds per pass follow, as the
 median of ``COMPLEX_REPEATS`` passes.
 
+The io layer runs, for each n = 4, 8, 16, 30 and each seed, on two input
+classes from ``random.Random`` seeded by (seed, n): ``integer``, entries
+0..6, and ``rational``, entries 0..6 over denominators 1..3, both with
+zero diagonal, plus a point whose coordinates are drawn the same way.  Its
+layers are ``distance_from_json`` and ``point_from_json`` on the decoded
+JSON objects, and ``cli validate``, which runs ``dtspan.cli.main`` on a
+JSON file.  A pass is ``IO_CALLS`` calls.  A record holds the Fractions
+built in one pass first, then the wall seconds per pass, as the median of
+``IO_REPEATS`` passes.
+
 Given a second file written by this script on another checkout (the parent
 of a change, say), the output gains a ``comparison``: for each record of
 both, the counts and seconds side by side as [other, this].
@@ -85,7 +95,7 @@ from dtspan import (  # noqa: E402
     tropical_rank_witness,
 )
 from dtspan import cli, complexes, metrics  # noqa: E402
-from dtspan.jsonio import distance_to_json  # noqa: E402
+from dtspan.jsonio import distance_from_json, distance_to_json, point_from_json  # noqa: E402
 
 SIZES = range(3, 9)
 SEEDS = (1, 2, 3)
@@ -96,6 +106,10 @@ RANK_INPUTS = ("path_subtrees", "generic")
 RANK_REPEATS = 3
 COMPLEX_SIZES = range(3, 6)
 COMPLEX_REPEATS = 5
+IO_SIZES = (4, 8, 16, 30)
+IO_INPUTS = ("integer", "rational")
+IO_CALLS = 20
+IO_REPEATS = 7
 
 
 def _entries(rng, n: int):
@@ -330,6 +344,58 @@ def complex_record(layer: str, n: int, seed: int, workdir: Path) -> dict:
     }
 
 
+def _io_objects(kind: str, n: int, seed: int):
+    """(distance, point) as the decoded JSON objects the CLI reads."""
+    rng = random.Random(1000 * seed + n)
+    q = 1 if kind == "integer" else 3
+
+    def value():
+        return str(Fraction(rng.randint(0, 6), rng.randint(1, q)))
+
+    labels = [f"x{i}" for i in range(n)]
+    distance = {"labels": labels, "matrix": [["0" if i == j else value() for j in range(n)] for i in range(n)]}
+    point = {"col": {s: value() for s in labels}, "row": {s: value() for s in labels}}
+    return distance, point
+
+
+def _cli_validate(path: str):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["validate", path])
+
+
+IO_LAYERS = {
+    "distance_from_json": lambda mu, distance, point, path: distance_from_json(distance),
+    "point_from_json": lambda mu, distance, point, path: point_from_json(mu, point),
+    "cli validate": lambda mu, distance, point, path: _cli_validate(path),
+}
+
+
+def io_record(layer: str, kind: str, n: int, seed: int, workdir: Path) -> dict:
+    distance, point = _io_objects(kind, n, seed)
+    path = workdir / "m.json"
+    path.write_text(json.dumps(distance))
+    run = IO_LAYERS[layer]
+    # the point's distance is read once, outside the passes
+    mu = distance_from_json(distance)
+    calls = [lambda: run(mu, distance, point, str(path))] * IO_CALLS
+    built = _fractions_built(calls)
+    times = []
+    for _ in range(IO_REPEATS):
+        t0 = perf_counter()
+        for call in calls:
+            call()
+        times.append(perf_counter() - t0)
+    return {
+        "layer": layer,
+        "input": kind,
+        "n": n,
+        "seed": seed,
+        "calls": IO_CALLS,
+        "fractions_built": built,
+        "seconds": statistics.median(times),
+    }
+
+
 def _key(r: dict):
     return r["layer"], r.get("input"), r["n"], r["seed"]
 
@@ -366,13 +432,22 @@ def main(argv) -> int:
             for n in COMPLEX_SIZES
             for seed in SEEDS
         ]
+        io_records = [
+            io_record(layer, kind, n, seed, Path(tmp))
+            for layer in IO_LAYERS
+            for kind in IO_INPUTS
+            for n in IO_SIZES
+            for seed in SEEDS
+        ]
     out = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "repeats": REPEATS,
         "rank_repeats": RANK_REPEATS,
         "complex_repeats": COMPLEX_REPEATS,
-        "records": records + rank_records + complex_records,
+        "io_calls": IO_CALLS,
+        "io_repeats": IO_REPEATS,
+        "records": records + rank_records + complex_records + io_records,
     }
     if len(argv) == 2:
         out["comparison"] = compare(json.loads(Path(argv[1]).read_text()), out["records"])
@@ -387,6 +462,9 @@ def main(argv) -> int:
         print(f"{r['layer']:22} n={r['n']} seed={r['seed']} p_vertices={r['p_vertices']:4} "
               f"faces_built={r['faces_built']:5} fractions={r['fractions_built']:6} "
               f"faces={r['faces']:5} vertices={r['vertices']:4} {r['seconds'] * 1000:9.3f} ms")
+    for r in io_records:
+        print(f"{r['layer']:22} {r['input']:13} n={r['n']:2} seed={r['seed']} calls={r['calls']:3} "
+              f"fractions={r['fractions_built']:6} {r['seconds'] * 1000:9.3f} ms")
     return 0
 
 

@@ -211,7 +211,7 @@ def _complex(mu: DirectedDistance, which: str, keep: Callable[[int, int], bool])
         frontier = nxt
 
     faces = [
-        _face(n, tuple(i for i, vb in enumerate(bindings) if vb & b == b), b)
+        _face(n, tuple([i for i, vb in enumerate(bindings) if vb & b == b]), b)
         for b in candidates
         if keep(n, b)
     ]

@@ -111,7 +111,7 @@ class ExtPoint:
 
 def point(mu_or_ground, col, row) -> ExtPoint:
     ground = mu_or_ground.ground if isinstance(mu_or_ground, DirectedDistance) else mu_or_ground
-    return ExtPoint(ground, tuple(as_fraction(c) for c in col), tuple(as_fraction(r) for r in row))
+    return ExtPoint(ground, tuple([as_fraction(c) for c in col]), tuple([as_fraction(r) for r in row]))
 
 
 @dataclass(frozen=True)
@@ -279,7 +279,7 @@ def _uncovered(n: int, b: int) -> int:
 def _mask_edges(n: int, b: int) -> Tuple[Tuple[int, int], ...]:
     """The tight couplings (s, t) of binding mask b, in order."""
     tight = b >> (2 * n + 1)
-    return tuple(divmod(i, n) for i in range(n * n) if tight >> i & 1)
+    return tuple([divmod(i, n) for i in range(n * n) if tight >> i & 1])
 
 
 def _component_masks(n: int, b: int) -> List[int]:
@@ -323,7 +323,7 @@ def free_components(n: int, b: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ..
 def _sides(n: int, c: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """The columns and the rows among the low 2n bits of a mask: the members
     of a component, or the zero coordinates of a binding mask."""
-    return tuple(s for s in range(n) if c >> s & 1), tuple(t for t in range(n) if c >> (n + t) & 1)
+    return tuple([s for s in range(n) if c >> s & 1]), tuple([t for t in range(n) if c >> (n + t) & 1])
 
 
 # -- distances ---------------------------------------------------------------

@@ -7,7 +7,11 @@ meets them, and its text is byte-identical to ``json.dumps(obj, indent=2)``
 of the converted report (strings go through the same C escaper,
 ``json.encoder.encode_basestring_ascii``).  On input every rational goes
 through ``metrics.as_fraction``, which rejects floats and bools, so a round
-trip through JSON never loses exactness.  A rational too long for ``str`` (past
+trip through JSON never loses exactness.  A string is read once: one match
+of the "p/q" pattern, then its numerator and denominator as two ints.
+``distance_from_json`` reads every entry before ``validate_distance``
+checks the shape, the diagonal and the signs, so a bad entry is reported
+ahead of a short row.  A rational too long for ``str`` (past
 Python's int-to-string digit limit) is ``OutputWriteError``.
 """
 
@@ -98,8 +102,8 @@ def point_from_json(mu: DirectedDistance, obj) -> ExtPoint:
             raise DomainError("InputParseError", f"point: {name} must assign every label exactly once")
     return ExtPoint(
         mu.ground,
-        tuple(as_fraction(col[s]) for s in labels),
-        tuple(as_fraction(row[s]) for s in labels),
+        tuple([as_fraction(col[s]) for s in labels]),
+        tuple([as_fraction(row[s]) for s in labels]),
     )
 
 

@@ -133,15 +133,15 @@ class DirectedDistance:
         n = self.n
         return DirectedDistance(
             self.ground,
-            tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n)),
+            tuple([tuple([self.entries[j][i] for j in range(n)]) for i in range(n)]),
         )
 
     def restrict(self, elements: Sequence[Element]) -> "DirectedDistance":
         """Principal submatrix on the given elements, in the given order."""
         idx = [self.ground.index_of(e) for e in elements]
-        ground = GroundSet(tuple(self.labels[i] for i in idx))
+        ground = GroundSet(tuple([self.labels[i] for i in idx]))
         return DirectedDistance(
-            ground, tuple(tuple(self.entries[i][j] for j in idx) for i in idx)
+            ground, tuple([tuple([self.entries[i][j] for j in idx]) for i in idx])
         )
 
 
@@ -152,23 +152,30 @@ def as_fraction(x) -> Fraction:
     """The one rational parser: an int, a Fraction or a "p/q" string.
 
     Floats are rejected so no rounding can sneak in, and bools are rejected
-    so that ``True`` never reads as 1.  A string must be an optionally
-    negative integer, optionally over a nonzero natural denominator, with
-    nothing around it: decimals, exponents, underscores and spaces are
-    rejected before any arithmetic.  Everything else raises
-    ``InputParseError`` too.
+    so that ``True`` never reads as 1.  A Fraction is returned as it is.  A
+    string must be an optionally negative integer, optionally over a nonzero
+    natural denominator, with nothing around it: one match of ``_RATIONAL``
+    rejects decimals, exponents, underscores, spaces and non-ASCII digits
+    before any arithmetic, and the string is then read as ``Fraction(int(p),
+    int(q))`` (``Fraction(int(p))`` without a denominator).  A zero
+    denominator, or digits past Python's int-to-string limit, are
+    ``InputParseError``, as is everything else.
     """
-    if isinstance(x, (bool, float)):
-        raise DomainError("InputParseError", f"exact rational required, got {x!r}")
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         return x
-    if isinstance(x, int):
+    if isinstance(x, str):
+        if _RATIONAL.fullmatch(x):
+            p, _, q = x.partition("/")
+            try:
+                return Fraction(int(p), int(q)) if q else Fraction(int(p))
+            except (ValueError, ZeroDivisionError):
+                pass
+    elif isinstance(x, (bool, float)):
+        raise DomainError("InputParseError", f"exact rational required, got {x!r}")
+    elif isinstance(x, Fraction):
+        return x
+    elif isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str) and _RATIONAL.fullmatch(x):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            raise DomainError("InputParseError", f"not a rational: {_shown(x)}") from None
     raise DomainError("InputParseError", f"not a rational: {_shown(x)}")
 
 
@@ -192,13 +199,14 @@ def validate_distance(matrix: Sequence[Sequence], labels: Optional[Sequence[str]
     for i, row in enumerate(matrix):
         if len(row) != n:
             raise DomainError("NonSquare", f"row {i} has length {len(row)}, expected {n}")
-        rows.append(tuple(as_fraction(x) for x in row))
-    for i in range(n):
-        if rows[i][i] != 0:
-            raise DomainError("NonzeroDiagonal", f"entry ({i},{i}) is {_shown(str(rows[i][i]))}, expected 0")
-        for j in range(n):
-            if rows[i][j] < 0:
-                raise DomainError("NegativeEntry", f"entry ({i},{j}) is {_shown(str(rows[i][j]))}")
+        rows.append(tuple([as_fraction(x) for x in row]))
+    # denominators are positive, so the numerators carry the signs
+    for i, row in enumerate(rows):
+        if row[i].numerator:
+            raise DomainError("NonzeroDiagonal", f"entry ({i},{i}) is {_shown(str(row[i]))}, expected 0")
+        for j, x in enumerate(row):
+            if x.numerator < 0:
+                raise DomainError("NegativeEntry", f"entry ({i},{j}) is {_shown(str(x))}")
     if labels is None:
         labels = tuple(f"x{i}" for i in range(n))
     ground = GroundSet(tuple(labels))

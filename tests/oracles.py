@@ -32,7 +32,10 @@ sets), where the library reads one binding mask per point;
 where it now searches 2n-bit adjacency masks; ``json_dumps`` is the
 library's former writer, ``to_jsonable`` followed by CPython's
 ``json.dumps(indent=2)``, against which the one-pass writer is compared
-byte for byte.
+byte for byte.  ``fraction_str_as_fraction`` is the library's former
+rational parser: the same regex gate, then ``Fraction(str)``, which matches
+the string against its own larger grammar again, where the library reads
+the numerator and denominator as two ints.
 ``recomputed_pricing_solve`` is the library's former general two-phase
 simplex (any row sense, any sign of right-hand side, max or min, over a
 ``GeneralProgram``) and recomputes every reduced cost on every iteration.
@@ -61,6 +64,7 @@ it builds.
 
 import json
 import random
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -90,7 +94,7 @@ from dtspan.complexes import PolyComplex
 from dtspan.errors import certify
 from dtspan.jsonio import distance_to_json, fraction_to_str, point_to_json
 from dtspan.lp import OPTIMAL, UNBOUNDED, LPSolution
-from dtspan.metrics import scaled_entries
+from dtspan.metrics import _shown, scaled_entries
 from dtspan.rank import _has_alternating_cycle, _hungarian_max
 from dtspan.trees import KINDS
 
@@ -1294,3 +1298,22 @@ def to_jsonable(value):
 def json_dumps(value) -> str:
     """The library's former writer: convert, then CPython's own encoder."""
     return json.dumps(to_jsonable(value), indent=2)
+
+
+_FORMER_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def fraction_str_as_fraction(x) -> Fraction:
+    """The library's former ``as_fraction``: the regex gate, then ``Fraction(x)``."""
+    if isinstance(x, (bool, float)):
+        raise DomainError("InputParseError", f"exact rational required, got {x!r}")
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str) and _FORMER_RATIONAL.fullmatch(x):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError("InputParseError", f"not a rational: {_shown(x)}") from None
+    raise DomainError("InputParseError", f"not a rational: {_shown(x)}")

@@ -89,6 +89,22 @@ def test_validate_rejects_negative_entry(files, capsys):
     assert out["error"]["code"] == "NegativeEntry"
 
 
+def test_validate_keeps_the_error_precedence(files, capsys):
+    """A matrix with two faults reports the one found first: entries are
+    read before the shape is checked, the diagonal before the signs."""
+    cases = [
+        ([["0"], ["1", "abc"]], "InputParseError", "not a rational: 'abc'"),
+        ([["1", "0"], ["0"]], "NonSquare", "row 1 has length 1, expected 2"),
+        ([["-1", "0"], ["0", "0"]], "NonzeroDiagonal", "entry (0,0) is '-1', expected 0"),
+        ([["0", "-1"], ["1", "2"]], "NegativeEntry", "entry (0,1) is '-1'"),
+    ]
+    _, write = files
+    for matrix, code, message in cases:
+        status, out = run(capsys, ["validate", write("m.json", {"matrix": matrix})])
+        assert status == 1
+        assert out == {"error": {"code": code, "message": message}}
+
+
 def test_check_tree(files, capsys):
     _, write = files
     code, out = run(capsys, ["check", "tree", write("m.json", ALL_ONE)])

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from dtspan.jsonio import (
 )
 from dtspan.metrics import as_fraction
 from dtspan.trees import random_realization
-from oracles import json_dumps, random_distance
+from oracles import fraction_str_as_fraction, json_dumps, random_distance
 
 ALL_ONE = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
@@ -53,10 +54,78 @@ def test_fraction_strings_are_canonical():
     for bad in (
         0.5, True, "abc", "1/0", None, [1],
         "0.5", "1e3", "1_000", " 2 ", "2\n", "+1", "1/-2", "1/", "/2", "", "-", "1e999999999",
+        # int() reads these digits, so the regex gate must come first
+        "\u0663", "\uff11", "\u00b2",
+        # past Python's int-to-string digit limit
+        "1" * 4301, "1/" + "1" * 4301,
     ):
         with pytest.raises(DomainError) as err:
             as_fraction(bad)
         assert err.value.code == "InputParseError"
+
+
+def _rational_strings(rng, count):
+    """Strings near and off the "p/q" grammar: signs, leading zeros, zero
+    numerators and denominators, non-lowest terms, digit counts around
+    Python's int-to-string limit, and near misses."""
+    limit = sys.get_int_max_str_digits()
+    fixed = ["0", "-0", "00", "-00", "0/7", "-0/7", "0/0", "7/0", "-7/00", "007", "-007/0014",
+             "6/4", "-6/4", "12/18", "1/1", "-1/1", "+1", "1/+2", "1/-2", "--1", "1//2", "1/2/3",
+             "1.0", "1e3", "1_0", " 1", "1 ", "1\n", "\u0663", "\uff11", "1/\u0663", "\u00b2", ""]
+    for k in (limit - 1, limit, limit + 1):
+        digits = "9" * k
+        fixed += [digits, "-" + digits, "0" + digits[1:], digits + "/7", "7/" + digits, "-1/" + digits]
+    pieces = ["0", "00", "1", "7", "12", "360", "1000000007", "-", "/", ".", "+", "_", " ", "e", "\u0663"]
+    out = list(fixed)
+    while len(out) < count:
+        if rng.random() < 0.7:
+            p = str(rng.randint(0, 10 ** rng.randint(0, 30))).zfill(rng.randint(1, 4))
+            q = str(rng.randint(0, 10 ** rng.randint(0, 30))).zfill(rng.randint(1, 3))
+            s = ("-" if rng.random() < 0.4 else "") + p + ("/" + q if rng.random() < 0.6 else "")
+        else:
+            s = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 5)))
+        out.append(s)
+    return out
+
+
+def test_as_fraction_matches_the_former_parser():
+    """The regex gate then two ints, against the regex gate then
+    ``Fraction(str)``: equal Fractions where the former parser accepts, the
+    same error where it rejects."""
+    accepted = rejected = 0
+    for s in _rational_strings(random.Random(2024), 2400):
+        try:
+            expected = fraction_str_as_fraction(s)
+        except DomainError as err:
+            with pytest.raises(DomainError) as got:
+                as_fraction(s)
+            assert (got.value.code, got.value.message) == (err.code, err.message)
+            rejected += 1
+        else:
+            got = as_fraction(s)
+            assert type(got) is Fraction
+            assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+            accepted += 1
+    assert accepted > 1000 and rejected > 300
+
+
+def test_distance_errors_keep_their_precedence():
+    """Every entry is read before any shape, diagonal or sign check; then
+    rows in order, each row's diagonal before its signs."""
+    cases = [
+        ({"matrix": [["0"], ["1", "abc"]]}, "InputParseError", "not a rational: 'abc'"),
+        ({"matrix": [["0", "1"], ["1", 0.5]]}, "InputParseError", "exact rational required, got 0.5"),
+        ({"matrix": [["0", "1/0"], ["-2", "0"]]}, "InputParseError", "not a rational: '1/0'"),
+        ({"matrix": [["0", "1", "2"], ["1", "0"], "x"]}, "InputParseError", "distance: matrix rows must be lists"),
+        ({"matrix": [["1", "0"], ["0"]]}, "NonSquare", "row 1 has length 1, expected 2"),
+        ({"matrix": [["-1", "0"], ["0", "0"]]}, "NonzeroDiagonal", "entry (0,0) is '-1', expected 0"),
+        ({"matrix": [["0", "-1"], ["1", "2"]]}, "NegativeEntry", "entry (0,1) is '-1'"),
+        ({"labels": ["a", "b"], "matrix": [["1"]]}, "NonzeroDiagonal", "entry (0,0) is '1', expected 0"),
+    ]
+    for obj, code, message in cases:
+        with pytest.raises(DomainError) as err:
+            distance_from_json(obj)
+        assert (err.value.code, err.value.message) == (code, message)
 
 
 def test_distance_round_trip():
