@@ -1,5 +1,5 @@
-"""Scaling record of the geometry layer and of the rank layer: work counts
-and wall time per (layer, n, seed).
+"""Scaling record of the geometry, rank, complexes, io and trees layers:
+work counts and wall time per (layer, n, seed).
 
     python3 bench/scaling.py BENCH.json [PARENT.json]
 
@@ -56,14 +56,27 @@ JSON file.  A pass is ``IO_CALLS`` calls.  A record holds the Fractions
 built in one pass first, then the wall seconds per pass, as the median of
 ``IO_REPEATS`` passes.
 
+The trees layer runs, for each n = 5, 10, 20, 30, each seed and each kind
+of ``random_realization`` (``directed_path``, ``path_subtrees``,
+``singleton``), on ``random_realization(kind, n, seed)``:
+``evaluate_realization``; ``split_decomposition``; and ``recombine_splits``
+on the terms ``split_decomposition`` returned.  The split layers need
+single-vertex subtrees, so they skip ``path_subtrees``.  The realization
+and the terms are built outside the timed call.  A record holds a SHA-256
+of the answer first, then the counts of one call: the calls of
+``trees._walk`` and the vertices they reached (counted by wrapping
+``_walk``), and the Fractions built.  The wall seconds per call follow, as
+the median of ``TREE_REPEATS`` calls.
+
 Given a second file written by this script on another checkout (the parent
 of a change, say), the output gains a ``comparison``: for each record of
-both, the counts and seconds side by side as [other, this].
+both, the answer, the counts and the seconds side by side as [other, this].
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -90,11 +103,13 @@ from dtspan import (  # noqa: E402
     evaluate_realization,
     geodesic_polyline,
     random_realization,
+    recombine_splits,
     retract_to_qplus,
     retract_to_tight_span,
+    split_decomposition,
     tropical_rank_witness,
 )
-from dtspan import cli, complexes, metrics  # noqa: E402
+from dtspan import cli, complexes, metrics, trees  # noqa: E402
 from dtspan.jsonio import distance_from_json, distance_to_json, point_from_json  # noqa: E402
 
 SIZES = range(3, 9)
@@ -110,6 +125,8 @@ IO_SIZES = (4, 8, 16, 30)
 IO_INPUTS = ("integer", "rational")
 IO_CALLS = 20
 IO_REPEATS = 7
+TREE_SIZES = (5, 10, 20, 30)
+TREE_REPEATS = 3
 
 
 def _entries(rng, n: int):
@@ -396,6 +413,70 @@ def io_record(layer: str, kind: str, n: int, seed: int, workdir: Path) -> dict:
     }
 
 
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def _matrix(mu):
+    return [[str(x) for x in row] for row in mu.entries]
+
+
+TREE_LAYERS = {
+    "evaluate_realization": lambda r, terms: _matrix(evaluate_realization(r)),
+    "split_decomposition": lambda r, terms: [
+        [t.side_a, t.side_b, str(t.coeff)] for t in split_decomposition(r)
+    ],
+    "recombine_splits": lambda r, terms: _matrix(recombine_splits(terms, r.terminals)),
+}
+
+
+@contextlib.contextmanager
+def _counting_walks(counts: dict):
+    """Count the calls of ``trees._walk`` inside the block and the vertices
+    they reached."""
+    real = trees._walk
+
+    def counted(*args):
+        prev = real(*args)
+        counts["walks"] += 1
+        counts["vertices_reached"] += len(prev)
+        return prev
+
+    trees._walk = counted
+    try:
+        yield
+    finally:
+        trees._walk = real
+
+
+def tree_record(layer: str, kind: str, n: int, seed: int) -> dict:
+    run = TREE_LAYERS[layer]
+
+    def inputs():
+        r = random_realization(kind, n, seed)
+        return r, split_decomposition(r) if layer == "recombine_splits" else None
+
+    counts = {"walks": 0, "vertices_reached": 0, "fractions_built": 0}
+    r, terms = inputs()
+    with _counting_walks(counts), _counting_new(counts, "fractions_built"):
+        answer = _digest(run(r, terms))
+    times = []
+    for _ in range(TREE_REPEATS):
+        r, terms = inputs()
+        t0 = perf_counter()
+        run(r, terms)
+        times.append(perf_counter() - t0)
+    return {
+        "layer": layer,
+        "input": kind,
+        "n": n,
+        "seed": seed,
+        "answer": answer,
+        **counts,
+        "seconds": statistics.median(times),
+    }
+
+
 def _key(r: dict):
     return r["layer"], r.get("input"), r["n"], r["seed"]
 
@@ -408,7 +489,11 @@ def compare(parent: dict, records) -> list:
         p = before.get(_key(r))
         if p is None:
             continue
-        pairs = {k: [p[k], v] for k, v in r.items() if isinstance(v, (int, float)) and k not in ("n", "seed")}
+        pairs = {
+            k: [p[k], v]
+            for k, v in r.items()
+            if (k == "answer" or isinstance(v, (int, float))) and k not in ("n", "seed")
+        }
         out.append({"layer": r["layer"], "input": r.get("input"), "n": r["n"], "seed": r["seed"], **pairs})
     return out
 
@@ -439,6 +524,14 @@ def main(argv) -> int:
             for n in IO_SIZES
             for seed in SEEDS
         ]
+    tree_records = [
+        tree_record(layer, kind, n, seed)
+        for layer in TREE_LAYERS
+        for kind in trees.KINDS
+        if layer == "evaluate_realization" or kind != "path_subtrees"
+        for n in TREE_SIZES
+        for seed in SEEDS
+    ]
     out = {
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -447,7 +540,8 @@ def main(argv) -> int:
         "complex_repeats": COMPLEX_REPEATS,
         "io_calls": IO_CALLS,
         "io_repeats": IO_REPEATS,
-        "records": records + rank_records + complex_records + io_records,
+        "tree_repeats": TREE_REPEATS,
+        "records": records + rank_records + complex_records + io_records + tree_records,
     }
     if len(argv) == 2:
         out["comparison"] = compare(json.loads(Path(argv[1]).read_text()), out["records"])
@@ -465,6 +559,9 @@ def main(argv) -> int:
     for r in io_records:
         print(f"{r['layer']:22} {r['input']:13} n={r['n']:2} seed={r['seed']} calls={r['calls']:3} "
               f"fractions={r['fractions_built']:6} {r['seconds'] * 1000:9.3f} ms")
+    for r in tree_records:
+        print(f"{r['layer']:22} {r['input']:13} n={r['n']:2} seed={r['seed']} walks={r['walks']:6} "
+              f"reached={r['vertices_reached']:7} fractions={r['fractions_built']:7} {r['seconds'] * 1000:9.3f} ms")
     return 0
 
 

@@ -611,22 +611,6 @@ def canonical_section_membership(mu: DirectedDistance, p: ExtPoint) -> bool:
     return classify_membership(mu, p) is Membership.QPLUS and min(p.row) == 0
 
 
-@dataclass
-class BalanceInterval:
-    """Closed interval of fiber translates, endpoints None for unbounded."""
-
-    lower: Optional[Fraction] = None
-    upper: Optional[Fraction] = None
-
-    def intersect(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> "BalanceInterval":
-        lower = self.lower if lo is None else (lo if self.lower is None else max(self.lower, lo))
-        upper = self.upper if hi is None else (hi if self.upper is None else min(self.upper, hi))
-        return BalanceInterval(lower, upper)
-
-    def is_empty(self) -> bool:
-        return self.lower is not None and self.upper is not None and self.lower > self.upper
-
-
 def extend_to_balanced_section(
     mu: DirectedDistance, anchors: Sequence[ExtPoint], queries: Sequence[Fiber]
 ) -> List[ExtPoint]:
@@ -649,15 +633,20 @@ def extend_to_balanced_section(
     for fiber in queries:
         p0 = fiber.representative
         _require_in_q(mu, p0)
-        interval = BalanceInterval()
+        # current is empty only without anchors, where qplus_mode holds, so
+        # lows and highs are never empty
+        lows, highs = [], []
+        if qplus_mode:
+            lows.append(max(-c for c in p0.col))
+            highs.append(min(p0.row))
         for q in current:
             diffs = [qc - pc for pc, qc in zip(p0.col, q.col)]
-            interval = interval.intersect(min(diffs), max(diffs))
-        if qplus_mode:
-            interval = interval.intersect(max(-c for c in p0.col), min(p0.row))
-        if interval.is_empty() or interval.lower is None:
+            lows.append(min(diffs))
+            highs.append(max(diffs))
+        lower = max(lows)
+        if lower > min(highs):
             raise DomainError("EmptyIntersection", "no balanced representative on the fiber")
-        ans = p0.fiber_shift(interval.lower)
+        ans = p0.fiber_shift(lower)
         answers.append(ans)
         current.append(ans)
     return answers

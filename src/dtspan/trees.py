@@ -3,7 +3,12 @@
 A realization carries an oriented tree with positive edge lengths and one
 connected subgraph F_s per terminal; the realized distance between two
 terminals is the shortest oriented tree distance from F_s to F_t, where
-only forward edges on the unique underlying path contribute.
+only forward edges on the unique underlying path contribute.  Evaluation
+walks once out of each F_s.  F_s is connected, so the tree path from F_s to
+any vertex v leaves F_s once, at the member x nearest v, and the path from
+any other member runs through x; lengths are nonnegative, so that path is
+the shortest, and the walk reaches v by exactly that path.  The entry
+(s, t) is then the least length the walk carried to a vertex of F_t.
 
 The constructive directions all run through the skeleton of a
 one-dimensional complex: the tight span itself when its dimension is at
@@ -67,15 +72,15 @@ class OrientedTree:
                 raise DomainError("NegativeEntry", f"arc {_shown(tail)}->{_shown(head)} has negative length")
         if len(self.arcs) != len(self.vertices) - 1:
             raise DomainError("NotATree", "edge count must be vertex count minus one")
-        if _walk(self, self.vertices[0], vs).keys() != vs:
-            raise DomainError("NotATree", "underlying graph is disconnected")
-
-    def _adjacency(self) -> Dict[str, List[Tuple[str, Fraction, bool]]]:
+        # built once and kept in __dict__, outside the fields, so equality
+        # and hashing ignore it; every walk reads it
         adj: Dict[str, List[Tuple[str, Fraction, bool]]] = {v: [] for v in self.vertices}
         for tail, head, length in self.arcs:
             adj[tail].append((head, length, True))
             adj[head].append((tail, length, False))
-        return adj
+        self.__dict__["_adj"] = adj
+        if _walk(self, self.vertices[:1], vs).keys() != vs:
+            raise DomainError("NotATree", "underlying graph is disconnected")
 
     def path_steps(self, x: str, y: str) -> List[Tuple[Fraction, bool]]:
         """(length, traversed forward?) per edge along the unique x..y path."""
@@ -84,7 +89,7 @@ class OrientedTree:
             raise DomainError("UnknownVertex", _shown(x))
         if y not in vs:
             raise DomainError("UnknownVertex", _shown(y))
-        prev = _walk(self, x, vs)
+        prev = _walk(self, (x,), vs)
         steps = []
         v = y
         while v != x:
@@ -100,14 +105,15 @@ def tree_distance(tree: OrientedTree, x: str, y: str) -> Fraction:
 
 
 def _walk(
-    tree: OrientedTree, start: str, allowed: Set[str]
+    tree: OrientedTree, starts: Sequence[str], allowed: Set[str]
 ) -> Dict[str, Optional[Tuple[str, Fraction, bool]]]:
-    """Depth-first search from start through the vertices in allowed.  Maps
-    each vertex reached to (previous vertex, length, traversed forward?) of
-    the edge it was reached by, and start to None."""
-    adj = tree._adjacency()
-    prev: Dict[str, Optional[Tuple[str, Fraction, bool]]] = {start: None}
-    stack = [start]
+    """Depth-first search from the starts through the vertices in allowed.
+    Maps each vertex reached to (previous vertex, length, traversed
+    forward?) of the edge it was reached by, and each start to None.  A
+    vertex comes after the vertex it was reached from."""
+    adj = tree._adj
+    prev: Dict[str, Optional[Tuple[str, Fraction, bool]]] = dict.fromkeys(starts)
+    stack = list(starts)
     while stack:
         v = stack.pop()
         for w, length, forward in adj[v]:
@@ -148,7 +154,7 @@ class Realization:
             inside = set(sub)
             if len(inside) != len(sub):
                 raise DomainError("DuplicateLabel", f"subtree of {_shown(s)} repeats a vertex")
-            if _walk(self.tree, sub[0], inside).keys() != inside:
+            if _walk(self.tree, sub[:1], inside).keys() != inside:
                 raise DomainError("DisconnectedSubtree", f"subtree of {_shown(s)} is not connected")
 
     def subtree_of(self, s: str) -> Tuple[str, ...]:
@@ -167,18 +173,19 @@ def _induced_directed_path(tree: OrientedTree, sub: Sequence[str]) -> bool:
 
 
 def evaluate_realization(r: Realization) -> DirectedDistance:
-    """Matrix of shortest oriented distances between subtree pairs."""
-    k = len(r.terminals)
-    entries = [[F0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            entries[i][j] = min(
-                tree_distance(r.tree, x, y)
-                for x in r.subtrees[i]
-                for y in r.subtrees[j]
-            )
+    """Matrix of shortest oriented distances between subtree pairs: one walk
+    out of each F_s carries the forward length along its parent links, and
+    entry (s, t) is the least length over F_t.  The walk leaves F_s at the
+    member nearest each vertex, which is exact (module docstring)."""
+    everywhere = set(r.tree.vertices)
+    entries = []
+    for sub in r.subtrees:
+        reach = dict.fromkeys(sub, F0)
+        for v, step in _walk(r.tree, sub, everywhere).items():
+            if step is not None:
+                u, length, forward = step
+                reach[v] = reach[u] + length if forward else reach[u]
+        entries.append([min([reach[v] for v in other]) for other in r.subtrees])
     return distance_from_entries(entries, r.terminals)
 
 
@@ -274,7 +281,7 @@ def split_decomposition(r: Realization) -> List[SplitTerm]:
     at = {s: sub[0] for s, sub in zip(r.terminals, r.subtrees)}
     terms = []
     for tail, head, length in r.tree.arcs:
-        tail_side = _walk(r.tree, tail, set(r.tree.vertices) - {head})
+        tail_side = _walk(r.tree, (tail,), set(r.tree.vertices) - {head})
         side_a = tuple(s for s in r.terminals if at[s] in tail_side)
         side_b = tuple(s for s in r.terminals if at[s] not in tail_side)
         if side_a and side_b:

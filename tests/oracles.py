@@ -60,6 +60,11 @@ former point kernels, run on the Fraction fields; the library now runs
 them on integer forms over one common denominator, so comparing the two
 checks the scaling and the integer forms the library hands to the points
 it builds.
+``pairwise_evaluate_realization`` is the library's former evaluation of a
+realization: the least forward length over every vertex pair of F_s x F_t,
+one tree path per pair, where the library walks once out of each F_s.  Its
+paths come from a recursive search over the arc list, so it shares no code
+with the library's walk.
 """
 
 import json
@@ -882,6 +887,42 @@ def sextuple_scan(mu: DirectedDistance) -> Tuple[bool, Optional[Tuple[int, ...]]
         if lhs > best:
             return False, (x, y, z, u, v, w)
     return True, None
+
+
+# -- realizations, one tree path per vertex pair -------------------------------------
+
+
+def _forward_length(arcs, x: str, y: str) -> Fraction:
+    """Sum of the forward arc lengths on the unique x..y path, searched
+    recursively over the arc list."""
+
+    def search(v: str, came_from: Optional[str]) -> Optional[Fraction]:
+        if v == y:
+            return F0
+        for tail, head, length in arcs:
+            if v not in (tail, head) or came_from in (tail, head):
+                continue
+            forward = tail == v
+            rest = search(head if forward else tail, v)
+            if rest is not None:
+                return rest + length if forward else rest
+        return None
+
+    return search(x, None)
+
+
+def pairwise_evaluate_realization(r) -> DirectedDistance:
+    """The library's former ``evaluate_realization``: entry (s, t) is the
+    least forward length over the vertex pairs of F_s x F_t."""
+    k = len(r.terminals)
+    entries = [
+        [
+            F0 if i == j else min(_forward_length(r.tree.arcs, x, y) for x in r.subtrees[i] for y in r.subtrees[j])
+            for j in range(k)
+        ]
+        for i in range(k)
+    ]
+    return distance_from_entries(entries, r.terminals)
 
 
 # -- random generators -----------------------------------------------------------

@@ -463,6 +463,22 @@ def test_extend_to_balanced_section():
             assert in_qplus(mu, ans)
 
 
+def test_extend_without_anchors():
+    # with no anchors the answers are held in Q+
+    rng = random.Random(445)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        mu = random_distance(rng, n, zeros=0.2)
+        queries = [Fiber(random_q_point(rng, mu)) for _ in range(3)]
+        answers = extend_to_balanced_section(mu, [], queries)
+        assert len(answers) == 3
+        for fiber, ans in zip(queries, answers):
+            assert Fiber(ans) == fiber
+            assert in_qplus(mu, ans)
+        ok, _ = is_balanced(answers)
+        assert ok
+
+
 def test_extend_rejects_unbalanced_anchors():
     mu = distance_from_entries(ALL_ONE)
     p = point(mu, (0, 1, 1), (0, 1, 1))

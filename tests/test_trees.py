@@ -24,13 +24,14 @@ from dtspan import (
     split_decomposition,
     splits_pairwise_compatible,
 )
+import dtspan.trees as trees
 from dtspan.trees import (
     KINDS,
     is_directed_path,
     random_realization,
     tree_distance,
 )
-from oracles import hungarian_search_unique, random_distance
+from oracles import hungarian_search_unique, pairwise_evaluate_realization, random_distance
 
 F1 = Fraction(1)
 
@@ -119,6 +120,72 @@ def test_evaluate_realization_frozen():
     mu = evaluate_realization(r)
     assert mu.labels == ("a", "b")
     assert mu.entries == ((Fraction(0), F1), (Fraction(0), Fraction(0)))
+
+
+def _branching_realization(rng, nv: int, k: int) -> Realization:
+    """A random oriented tree on nv vertices, each vertex hung off an earlier
+    one, and k subtrees, each grown from a random vertex by adding a random
+    neighbour of the vertices it holds, up to nv - 1 times."""
+    names = tuple(f"u{i}" for i in range(nv))
+    arcs, nbrs = [], {v: [] for v in names}
+    for i in range(1, nv):
+        parent, child = names[rng.randrange(i)], names[i]
+        length = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+        arcs.append((parent, child, length) if rng.random() < 0.5 else (child, parent, length))
+        nbrs[parent].append(child)
+        nbrs[child].append(parent)
+    subtrees = []
+    for _ in range(k):
+        sub = [rng.choice(names)]
+        for _ in range(rng.randrange(nv)):
+            frontier = sorted({w for v in sub for w in nbrs[v]} - set(sub))
+            if not frontier:
+                break
+            sub.append(rng.choice(frontier))
+        subtrees.append(tuple(sub))
+    return Realization(OrientedTree(names, tuple(arcs)), tuple(f"s{i}" for i in range(k)), tuple(subtrees))
+
+
+def test_evaluate_realization_matches_pairwise_paths():
+    # the seeded draws of all three kinds: directed paths, interval subtrees
+    # on a path, singletons on a branching tree
+    for kind in KINDS:
+        for n in range(1, 13):
+            for seed in range(5):
+                r = random_realization(kind, n, seed)
+                assert evaluate_realization(r).entries == pairwise_evaluate_realization(r).entries
+
+
+def test_evaluate_realization_matches_pairwise_paths_on_branching_subtrees():
+    # none of the three kinds has multi-vertex subtrees on a branching tree,
+    # where a walk out of F_s leaves it at different members for different
+    # vertices
+    rng = random.Random(83)
+    multi = 0
+    for _ in range(1000):
+        r = _branching_realization(rng, rng.randint(1, 10), rng.randint(1, 6))
+        multi += sum(len(sub) > 1 for sub in r.subtrees)
+        assert evaluate_realization(r).entries == pairwise_evaluate_realization(r).entries
+    assert multi > 1500
+
+
+def test_evaluate_realization_walks_once_per_subtree(monkeypatch):
+    walks = []
+    real = trees._walk
+
+    def counted(tree, starts, allowed):
+        walks.append(tuple(starts))
+        return real(tree, starts, allowed)
+
+    r = _branching_realization(random.Random(5), 12, 7)
+    monkeypatch.setattr(trees, "_walk", counted)
+    evaluate_realization(r)
+    assert walks == list(r.subtrees)
+
+
+def test_evaluate_singleton_realization_at_n40_matches_its_splits():
+    r = random_realization("singleton", 40, 3)
+    assert evaluate_realization(r).entries == recombine_splits(split_decomposition(r), r.terminals).entries
 
 
 def test_realize_path_collapses_duplicates():
