@@ -37,14 +37,16 @@ over the pass's minor searches: the memo states the recursion stored and
 the minors the search looked up.  The wall seconds per pass follow, as the
 median of ``RANK_REPEATS`` passes.
 
-The complexes layer runs, for each n = 3..5 and each seed, on the distance
+The complexes layer runs, for each n = 3..6 and each seed, on the distance
 the geometry layer draws: ``enumerate_tight_span``, ``enumerate_qplus``,
 ``enumerate_section``, and ``cli tightspan``, ``cli qplus`` and ``cli
-section``, which run ``dtspan.cli.main`` on a JSON file.  Each pass builds
-the distance afresh.  A record holds the counts first: the vertices of P,
-the ``complexes.Face`` objects and the Fractions built in one pass, and the
-faces and vertices of the complex.  The wall seconds per pass follow, as the
-median of ``COMPLEX_REPEATS`` passes.
+section``, which run ``dtspan.cli.main`` on a JSON file.  The library caps
+complexes at ``complexes.ENUM_CAP`` = 5 ground elements, so the layer
+raises the cap to 6 while it runs and restores it afterwards.  Each pass
+builds the distance afresh.  A record holds the counts first: the vertices
+of P, the ``complexes.Face`` objects and the Fractions built in one pass,
+and the faces and vertices of the complex.  The wall seconds per pass
+follow, as the median of ``COMPLEX_REPEATS`` passes.
 
 The io layer runs, for each n = 4, 8, 16, 30 and each seed, on two input
 classes from ``random.Random`` seeded by (seed, n): ``integer``, entries
@@ -119,7 +121,7 @@ REPEATS = 7
 RANK_SIZES = range(8, 17)
 RANK_INPUTS = ("path_subtrees", "generic")
 RANK_REPEATS = 3
-COMPLEX_SIZES = range(3, 6)
+COMPLEX_SIZES = range(3, 7)
 COMPLEX_REPEATS = 5
 IO_SIZES = (4, 8, 16, 30)
 IO_INPUTS = ("integer", "rational")
@@ -335,6 +337,17 @@ COMPLEX_LAYERS = {
 }
 
 
+@contextlib.contextmanager
+def _raised_enum_cap(cap: int):
+    """Let the complexes take up to cap ground elements inside the block."""
+    real = complexes.ENUM_CAP
+    complexes.ENUM_CAP = cap
+    try:
+        yield
+    finally:
+        complexes.ENUM_CAP = real
+
+
 def complex_record(layer: str, n: int, seed: int, workdir: Path) -> dict:
     entries = _entries(random.Random(1000 * seed + n), n)
     path = workdir / "m.json"
@@ -511,12 +524,13 @@ def main(argv) -> int:
             for n in RANK_SIZES
             for seed in SEEDS
         ]
-        complex_records = [
-            complex_record(layer, n, seed, Path(tmp))
-            for layer in COMPLEX_LAYERS
-            for n in COMPLEX_SIZES
-            for seed in SEEDS
-        ]
+        with _raised_enum_cap(max(COMPLEX_SIZES)):
+            complex_records = [
+                complex_record(layer, n, seed, Path(tmp))
+                for layer in COMPLEX_LAYERS
+                for n in COMPLEX_SIZES
+                for seed in SEEDS
+            ]
         io_records = [
             io_record(layer, kind, n, seed, Path(tmp))
             for layer in IO_LAYERS

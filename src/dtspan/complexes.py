@@ -24,16 +24,18 @@ pipeline:
    intersection of its vertices' binding sets, so the candidates are the
    intersection closure of the kept vertices' bitmasks.  Each candidate is
    the binding set of the average of the vertices above it, so it is a
-   face of the complex exactly when it passes the same test, and its
-   vertices, tight couplings, zero coordinates, dimension and directions
-   all come from the bitmask alone.  Each test holds on every mask
-   containing one it holds on, so a kept face's vertices are all kept:
-   closing over them alone finds every kept face, with the vertex and face
-   order of T restricted, and no face outside the complex is built.
+   face of the complex exactly when it passes the same test.  Each test
+   holds on every mask containing one it holds on, so a meet the test
+   rejects has no kept meet below it: the closure tests each new meet once
+   and goes on only from the kept ones, and finds every kept face, with
+   the vertex and face order of T restricted.  A face holds its vertices,
+   its dimension and its binding mask; its tight couplings, zero
+   coordinates and directions are read off the mask when asked for.
 
 Face dimension is the number of components of the tight-coupling graph free
-of zero coordinates (``geometry.free_components`` on the binding mask),
-cross-checked in the tests against the affine rank of the vertex set.
+of zero coordinates (those of ``geometry._component_masks`` on the binding
+mask that touch none), cross-checked in the tests against the affine rank
+of the vertex set.
 Everything is ordered canonically so output is byte-stable.
 """
 
@@ -41,11 +43,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, List, Sequence, Tuple
 
 from .errors import DomainError, certify
-from .geometry import ExtPoint, _mask_edges, _point, _sides, _uncovered, dinf, free_components
+from .geometry import ExtPoint, _component_masks, _mask_edges, _point, _sides, _uncovered, dinf, free_components
 from .metrics import DirectedDistance, scaled_entries
 
 ENUM_CAP = 5
@@ -69,7 +71,8 @@ def _extreme_rays(m: Sequence[Sequence[int]]) -> List[Ray]:
     are, plus the current bit.  The cone is pointed (it sits in the orthant)
     and full-dimensional, so two rays are adjacent exactly when no third
     ray's zero set contains their common one, which needs at least 2n - 1
-    common members.
+    common members.  Both rays of the pair contain their common zero set,
+    so a third is there when more than two do.
     """
     n = len(m)
     dim = 2 * n + 1
@@ -93,7 +96,7 @@ def _extreme_rays(m: Sequence[Sequence[int]]) -> List[Ray]:
                 meet = zp & zsets[ineg]
                 if meet.bit_count() < dim - 2:
                     continue
-                if any(meet & z == meet for k, z in enumerate(zsets) if k != ip and k != ineg):
+                if len([z for z in zsets if z & meet == meet]) > 2:
                     continue
                 a, b = vals[ip], -vals[ineg]
                 combo = [a * rn + b * rp for rp, rn in zip(rays[ip][0], rays[ineg][0])]
@@ -137,20 +140,35 @@ def polyhedron_vertices(mu: DirectedDistance) -> List[ExtPoint]:
 
 @dataclass(frozen=True)
 class Face:
-    """Closed face of the complex, described combinatorially.
+    """Closed face of the complex, described combinatorially by its binding
+    mask over n ground elements.
 
-    vertex_ids index into the complex vertex list; edges is the equality
-    graph at relative-interior points; zero_cols/zero_rows the coordinates
-    vanishing on the whole face; directions the free equality-graph
-    components spanning the face, one per dimension.
+    vertex_ids index into the complex vertex list.  Read off the mask:
+    edges is the equality graph at relative-interior points; zero_cols/
+    zero_rows the coordinates vanishing on the whole face; directions the
+    free equality-graph components spanning the face, one per dimension.
     """
 
     vertex_ids: Tuple[int, ...]
     dim: int
-    edges: Tuple[Tuple[int, int], ...]
-    zero_cols: Tuple[int, ...]
-    zero_rows: Tuple[int, ...]
-    directions: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
+    n: int
+    binding: int
+
+    @property
+    def edges(self) -> Tuple[Tuple[int, int], ...]:
+        return _mask_edges(self.n, self.binding)
+
+    @property
+    def zero_cols(self) -> Tuple[int, ...]:
+        return _sides(self.n, self.binding)[0]
+
+    @property
+    def zero_rows(self) -> Tuple[int, ...]:
+        return _sides(self.n, self.binding)[1]
+
+    @property
+    def directions(self) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
+        return tuple(free_components(self.n, self.binding))
 
 
 @dataclass(frozen=True)
@@ -179,12 +197,6 @@ class PolyComplex:
         ]
 
 
-def _face(n: int, ids: Tuple[int, ...], b: int) -> Face:
-    zc, zr = _sides(n, b)
-    free = free_components(n, b)
-    return Face(ids, len(free), _mask_edges(n, b), zc, zr, tuple(free))
-
-
 def _complex(mu: DirectedDistance, which: str, keep: Callable[[int, int], bool]) -> PolyComplex:
     """The faces of T whose binding masks pass keep(n, b), a test that holds
     on every mask containing one it holds on (steps 2 and 3 above)."""
@@ -192,48 +204,72 @@ def _complex(mu: DirectedDistance, which: str, keep: Callable[[int, int], bool])
         raise DomainError("GroundSetTooLarge", f"n={mu.n} exceeds enumeration cap {ENUM_CAP}")
     n = mu.n
     scale, rays = _vertex_rays(mu)
-    found = sorted(
-        ((_vertex(mu, scale, r), b) for r, b in rays if keep(n, b)), key=lambda pb: pb[0].key()
-    )
-    vertices = [p for p, _ in found]
-    bindings = [b for _, b in found]
+    kept = [(r, b) for r, b in rays if keep(n, b)]
+    # vertex order is the order of r[:-1] / r[-1], over one common multiple
+    big = lcm(*[r[-1] for r, _ in kept])
+    kept.sort(key=lambda rb: [x * (big // rb[0][-1]) for x in rb[0][:-1]])
+    vertices = tuple([_vertex(mu, scale, r) for r, _ in kept])
+    bindings = [b for _, b in kept]
 
-    candidates = set(bindings)
-    frontier = set(bindings)
+    seen = set(bindings)
+    frontier = list(seen)
+    found = []
     while frontier:
-        nxt = set()
+        found += frontier
+        nxt = []
         for b in frontier:
             for b2 in bindings:
                 meet = b & b2
-                if meet not in candidates:
-                    nxt.add(meet)
-        candidates |= nxt
+                if meet not in seen:
+                    seen.add(meet)
+                    if keep(n, meet):
+                        nxt.append(meet)
         frontier = nxt
 
     faces = [
-        _face(n, tuple([i for i, vb in enumerate(bindings) if vb & b == b]), b)
-        for b in candidates
-        if keep(n, b)
+        Face(
+            tuple([i for i, vb in enumerate(bindings) if vb & b == b]),
+            len([c for c in _component_masks(n, b) if not c & b]),
+            n,
+            b,
+        )
+        for b in found
     ]
     faces.sort(key=lambda f: (f.dim, f.vertex_ids))
-    return PolyComplex(which, mu.labels, tuple(vertices), tuple(faces))
+    return PolyComplex(which, mu.labels, vertices, tuple(faces))
+
+
+def _in_t(n: int, b: int) -> bool:
+    """Every column and row that no tight coupling covers is a zero
+    coordinate."""
+    return not _uncovered(n, b) & ~b
+
+
+def _in_qplus(n: int, b: int) -> bool:
+    """Tight couplings cover every column and row."""
+    return not _uncovered(n, b)
+
+
+def _in_section(n: int, b: int) -> bool:
+    """The Q+ test, plus an identically zero row."""
+    return not _uncovered(n, b) and (b >> n & ((1 << n) - 1)) != 0
 
 
 def enumerate_tight_span(mu: DirectedDistance) -> PolyComplex:
     """The directed tight span as a finite polyhedral complex: every column
     and row that no tight coupling covers is a zero coordinate."""
-    return _complex(mu, "T", lambda n, b: not _uncovered(n, b) & ~b)
+    return _complex(mu, "T", _in_t)
 
 
 def enumerate_qplus(mu: DirectedDistance) -> PolyComplex:
     """The subcomplex of minimal elements of the coupling polyhedron in the
     orthant: tight couplings cover every column and row."""
-    return _complex(mu, "Qplus", lambda n, b: not _uncovered(n, b))
+    return _complex(mu, "Qplus", _in_qplus)
 
 
 def enumerate_section(mu: DirectedDistance) -> PolyComplex:
     """The canonical balanced section: Q+ faces with an identically zero row."""
-    return _complex(mu, "Section", lambda n, b: not _uncovered(n, b) and (b >> n & ((1 << n) - 1)) != 0)
+    return _complex(mu, "Section", _in_section)
 
 
 # -- skeleton -----------------------------------------------------------------

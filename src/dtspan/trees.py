@@ -290,12 +290,17 @@ def split_decomposition(r: Realization) -> List[SplitTerm]:
 
 
 def recombine_splits(terms: Sequence[SplitTerm], labels: Sequence[str]) -> DirectedDistance:
-    """Sum of the weighted split distances, as a directed distance matrix."""
-    n = len(labels)
-    entries = [
-        [sum((term.value(labels[i], labels[j]) for term in terms), F0) for j in range(n)]
-        for i in range(n)
-    ]
+    """Sum of the weighted split distances, as a directed distance matrix:
+    each term adds its coefficient to the block of rows in A and columns in
+    B."""
+    entries = [[F0] * len(labels) for _ in labels]
+    for term in terms:
+        a, b = set(term.side_a), set(term.side_b)
+        cols = [j for j, t in enumerate(labels) if t in b]
+        for row, s in zip(entries, labels):
+            if s in a:
+                for j in cols:
+                    row[j] += term.coeff
     return distance_from_entries(entries, labels)
 
 

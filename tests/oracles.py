@@ -18,7 +18,13 @@ canonical section: filter the faces of T with set tests on their tight
 couplings and zero rows, then renumber the vertices the kept faces use,
 where the library tests binding masks before any vertex or face is built;
 ``pairwise_maximal_faces`` compares every pair of faces, where the library
-compares each face only with the faces after it.
+compares each face only with the faces after it.  ``unpruned_complex`` is
+the library's former face assembly: it closes the kept vertices' masks
+under every meet, filters the closure with the complex's test at the end,
+orders the vertices by their Fraction keys and builds every field of a
+face eagerly, where the library tests each new meet once, goes on only
+from the kept ones, orders the vertices on their integer rays and reads a
+face's fields off its mask.
 ``sweep_retract_to_tight_span`` and ``sweep_retract_to_qplus`` move one
 ``retract_ray`` step at a time (the library's former ray step); comparing
 them with the closed-form retractions checks every step length.
@@ -64,7 +70,9 @@ it builds.
 realization: the least forward length over every vertex pair of F_s x F_t,
 one tree path per pair, where the library walks once out of each F_s.  Its
 paths come from a recursive search over the arc list, so it shares no code
-with the library's walk.
+with the library's walk.  ``pointwise_recombine_splits`` is the library's
+former recombination: every term's value at every entry, where the
+library adds each term's coefficient to the block it covers.
 """
 
 import json
@@ -95,12 +103,14 @@ from dtspan import (
     retract_to_tight_span,
     validate_distance,
 )
-from dtspan.complexes import PolyComplex
+from dtspan import complexes
+from dtspan.complexes import PolyComplex, _vertex, _vertex_rays
 from dtspan.errors import certify
 from dtspan.jsonio import distance_to_json, fraction_to_str, point_to_json
 from dtspan.lp import OPTIMAL, UNBOUNDED, LPSolution
 from dtspan.metrics import _shown, scaled_entries
 from dtspan.rank import _has_alternating_cycle, _hungarian_max
+from dtspan.geometry import _mask_edges, _sides, free_components
 from dtspan.trees import KINDS
 
 F0 = Fraction(0)
@@ -492,6 +502,57 @@ def pairwise_maximal_faces(complex_: PolyComplex) -> List[int]:
     pair of faces."""
     vs = [frozenset(f.vertex_ids) for f in complex_.faces]
     return [i for i, a in enumerate(vs) if not any(i != j and a < b for j, b in enumerate(vs))]
+
+
+@dataclass(frozen=True)
+class EagerFace:
+    """A face with every field built when the face is."""
+
+    vertex_ids: Tuple[int, ...]
+    dim: int
+    edges: Tuple[Tuple[int, int], ...]
+    zero_cols: Tuple[int, ...]
+    zero_rows: Tuple[int, ...]
+    directions: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
+
+
+COMPLEX_TESTS = {"T": complexes._in_t, "Qplus": complexes._in_qplus, "Section": complexes._in_section}
+
+
+def unpruned_complex(mu: DirectedDistance, which: str) -> PolyComplex:
+    """T ("T"), Q+ ("Qplus") or the canonical section ("Section"): the kept
+    vertices sorted by their Fraction keys, the full meet closure of their
+    binding masks, then the masks that pass the complex's test, each built
+    into an ``EagerFace``."""
+    keep = COMPLEX_TESTS[which]
+    n = mu.n
+    scale, rays = _vertex_rays(mu)
+    found = sorted(((_vertex(mu, scale, r), b) for r, b in rays if keep(n, b)), key=lambda pb: pb[0].key())
+    vertices = [p for p, _ in found]
+    bindings = [b for _, b in found]
+
+    candidates = set(bindings)
+    frontier = set(bindings)
+    while frontier:
+        nxt = set()
+        for b in frontier:
+            for b2 in bindings:
+                meet = b & b2
+                if meet not in candidates:
+                    nxt.add(meet)
+        candidates |= nxt
+        frontier = nxt
+
+    faces = []
+    for b in candidates:
+        if not keep(n, b):
+            continue
+        free = free_components(n, b)
+        zc, zr = _sides(n, b)
+        ids = tuple(i for i, vb in enumerate(bindings) if vb & b == b)
+        faces.append(EagerFace(ids, len(free), _mask_edges(n, b), zc, zr, tuple(free)))
+    faces.sort(key=lambda f: (f.dim, f.vertex_ids))
+    return PolyComplex(which, mu.labels, tuple(vertices), tuple(faces))
 
 
 # -- retractions by ray steps ------------------------------------------------------
@@ -923,6 +984,17 @@ def pairwise_evaluate_realization(r) -> DirectedDistance:
         for i in range(k)
     ]
     return distance_from_entries(entries, r.terminals)
+
+
+def pointwise_recombine_splits(terms, labels: Sequence[str]) -> DirectedDistance:
+    """Sum of the weighted split distances, each entry summed over every
+    term's value there."""
+    n = len(labels)
+    entries = [
+        [sum((term.value(labels[i], labels[j]) for term in terms), F0) for j in range(n)]
+        for i in range(n)
+    ]
+    return distance_from_entries(entries, labels)
 
 
 # -- random generators -----------------------------------------------------------

@@ -25,8 +25,10 @@ from dtspan import (
     skeleton_graph,
     tropical_rank_witness,
 )
+from dtspan import complexes
 from dtspan.complexes import _vertex, _vertex_rays, polyhedron_vertices
 from oracles import (
+    COMPLEX_TESTS,
     affine_rank,
     binding_mask,
     filtered_subcomplex,
@@ -38,6 +40,7 @@ from oracles import (
     set_free_components,
     set_membership,
     set_tight_edges,
+    unpruned_complex,
     vertex_oracle,
     witness_tight_span,
     zero_set_polyhedron_vertices,
@@ -257,6 +260,52 @@ def test_maximal_faces_match_pairwise_scan():
     for mu in _subcomplex_draws(82):
         for cx in (enumerate_tight_span(mu), enumerate_qplus(mu), enumerate_section(mu)):
             assert cx.maximal_faces() == pairwise_maximal_faces(cx)
+
+
+def test_complex_tests_are_monotone():
+    # the closure stops at meets a test rejects, which loses no face only
+    # if a test that holds on a mask holds on every larger one
+    rng = random.Random(83)
+    passed = dict.fromkeys(COMPLEX_TESTS, 0)
+    for n in range(1, 6):
+        bits = [i for i in range(2 * n + 1 + n * n) if i != 2 * n]
+        for _ in range(400):
+            density = rng.random()
+            b = sum(1 << i for i in bits if rng.random() < density)
+            wider = b | sum(1 << i for i in bits if rng.random() < rng.random())
+            for which, test in COMPLEX_TESTS.items():
+                if test(n, b):
+                    passed[which] += 1
+                    assert test(n, wider), (which, n, b, wider)
+    assert min(passed.values()) >= 100
+
+
+def _assert_matches_unpruned(mu):
+    for enumerate_, which in (
+        (enumerate_tight_span, "T"),
+        (enumerate_qplus, "Qplus"),
+        (enumerate_section, "Section"),
+    ):
+        got, want = enumerate_(mu), unpruned_complex(mu, which)
+        assert got.vertices == want.vertices
+        assert [
+            (f.vertex_ids, f.dim, f.edges, f.zero_cols, f.zero_rows, f.directions) for f in got.faces
+        ] == [(f.vertex_ids, f.dim, f.edges, f.zero_cols, f.zero_rows, f.directions) for f in want.faces]
+        assert got.maximal_faces() == pairwise_maximal_faces(got)
+
+
+def test_complexes_match_unpruned_closure(monkeypatch):
+    # the pruned closure with faces read off their masks equals the full
+    # closure filtered at the end with every face field built eagerly
+    for mu in _subcomplex_draws(84):
+        _assert_matches_unpruned(mu)
+    rng = random.Random(85)
+    for n, count in ((1, 3), (2, 6), (3, 12), (4, 9), (5, 3)):
+        for _ in range(count):
+            _assert_matches_unpruned(random_distance(rng, n, top=2, zeros=0.3, den=1))
+    monkeypatch.setattr(complexes, "ENUM_CAP", 6)
+    _assert_matches_unpruned(random_distance(random.Random(7), 6))
+    _assert_matches_unpruned(random_distance(random.Random(86), 6, top=2, zeros=0.3, den=1))
 
 
 def test_vertex_membership_classes():

@@ -31,7 +31,12 @@ from dtspan.trees import (
     random_realization,
     tree_distance,
 )
-from oracles import hungarian_search_unique, pairwise_evaluate_realization, random_distance
+from oracles import (
+    hungarian_search_unique,
+    pairwise_evaluate_realization,
+    pointwise_recombine_splits,
+    random_distance,
+)
 
 F1 = Fraction(1)
 
@@ -273,6 +278,36 @@ def test_split_decomposition_round_trip():
         for t in terms:
             assert t.coeff > 0
             assert set(t.side_a) | set(t.side_b) <= set(mu.labels)
+
+
+def test_recombine_splits_matches_pointwise_sums():
+    # block sums equal the per-entry sums: on the terms of the split
+    # decomposition where the subtrees are single vertices, and on random
+    # splits of the terminals (sides that need not cover them) given in a
+    # shuffled label order, for every kind
+    rng = random.Random(39)
+
+    def random_terms(labels):
+        terms = []
+        for _ in range(rng.randint(0, 12) if len(labels) > 1 else 0):
+            a = rng.sample(labels, rng.randint(1, len(labels) - 1))
+            rest = [s for s in labels if s not in a]
+            b = rng.sample(rest, rng.randint(1, len(rest)))
+            terms.append(SplitTerm(tuple(a), tuple(b), Fraction(rng.randint(0, 8), rng.randint(1, 4))))
+        return terms
+
+    cases = [(kind, n) for kind in KINDS for n in range(1, 31)] + [("singleton", 60)]
+    for kind, n in cases:
+        r = random_realization(kind, n, n)
+        labels = list(r.terminals)
+        rng.shuffle(labels)
+        term_sets = [random_terms(labels)]
+        if kind != "path_subtrees":
+            term_sets.append(split_decomposition(r))
+        for terms in term_sets:
+            got = recombine_splits(terms, labels)
+            assert got == pointwise_recombine_splits(terms, labels)
+            assert all(type(x) is Fraction for row in got.entries for x in row)
 
 
 def test_split_decomposition_needs_singletons():
