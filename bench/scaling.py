@@ -1,5 +1,5 @@
-"""Scaling record of the geometry, rank, complexes, io and trees layers:
-work counts and wall time per (layer, n, seed).
+"""Scaling record of the geometry, Q+, rank, complexes, io and trees
+layers: work counts and wall time per (layer, n, seed).
 
     python3 bench/scaling.py BENCH.json [PARENT.json]
 
@@ -22,6 +22,11 @@ out.  A record holds the counts first, which do not depend on the host: the
 layer's calls per pass and the Fractions built per pass (each
 ``Fraction.__new__``, counted in one extra pass).  The wall seconds per pass
 follow, as the median of ``REPEATS`` passes.
+
+The Q+ layer runs ``retract_to_qplus`` on the points of T that the
+geometry layer draws, the same way, for each n = 10, 12, 14, 16, 20, 30
+and each seed; its records carry the layer name ``retract_to_qplus`` and
+these larger n.
 
 The rank layer runs on two input classes for each n = 8..16 and each seed:
 ``path_subtrees``, the distance of ``random_realization("path_subtrees", n,
@@ -115,6 +120,7 @@ from dtspan import cli, complexes, metrics, trees  # noqa: E402
 from dtspan.jsonio import distance_from_json, distance_to_json, point_from_json  # noqa: E402
 
 SIZES = range(3, 9)
+QPLUS_SIZES = (10, 12, 14, 16, 20, 30)
 SEEDS = (1, 2, 3)
 POINTS = 24
 REPEATS = 7
@@ -516,6 +522,7 @@ def main(argv) -> int:
         print("usage: python3 bench/scaling.py OUTPUT.json [PARENT.json]", file=sys.stderr)
         return 2
     records = [record(layer, n, seed) for layer in LAYERS for n in SIZES for seed in SEEDS]
+    records += [record("retract_to_qplus", n, seed) for n in QPLUS_SIZES for seed in SEEDS]
     with TemporaryDirectory() as tmp:
         rank_records = [
             rank_record(layer, kind, n, seed, Path(tmp))

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, List, Sequence, Tuple
 
 from .errors import DomainError, certify
@@ -111,17 +111,23 @@ def _extreme_rays(m: Sequence[Sequence[int]]) -> List[Ray]:
 def _vertex_rays(mu: DirectedDistance) -> Tuple[int, List[Ray]]:
     """(L, the rays of the cone over L * mu that are vertices of P), each ray
     with its binding mask: its zero set with the homogenizing bit 2n
-    cleared, which is the layout of ``geometry._edge_bit``."""
+    cleared, which is the layout of ``geometry._edge_bit``.
+
+    P's constraint matrix is a bipartite incidence matrix stacked on the
+    identity, so it is totally unimodular and every vertex of the integral
+    L * P is an integer point: each primitive vertex ray ends in 1.  So the
+    vertices sort as their rays do."""
     scale, m = scaled_entries(mu)
     off = ~(1 << (2 * mu.n))
-    return scale, [(r, z & off) for r, z in _extreme_rays(m) if r[-1] != 0]
+    rays = [(r, z & off) for r, z in _extreme_rays(m) if r[-1] != 0]
+    certify(all(r[-1] == 1 for r, _ in rays), "vertex of L * P off the integer lattice")
+    return scale, rays
 
 
 def _vertex(mu: DirectedDistance, scale: int, r: List[int]) -> ExtPoint:
-    """The vertex of P on ray r: r[:2n] / (L * r[-1]), with that integer
-    form."""
+    """The vertex of P on ray r: r[:2n] / L, with that integer form."""
     n = mu.n
-    return _point(mu.ground, r[-1] * scale, r[:n], r[n:-1])
+    return _point(mu.ground, scale, r[:n], r[n:-1])
 
 
 def polyhedron_vertices(mu: DirectedDistance) -> List[ExtPoint]:
@@ -129,10 +135,10 @@ def polyhedron_vertices(mu: DirectedDistance) -> List[ExtPoint]:
 
     The cone is built on L * mu, L the least common multiple of the entries'
     denominators, so every ray is an integer vector; the vertex of P on ray r
-    is r[:2n] / (L * r[-1]).
+    is r[:2n] / L, sorted as the rays are.
     """
     scale, rays = _vertex_rays(mu)
-    return sorted((_vertex(mu, scale, r) for r, _ in rays), key=ExtPoint.key)
+    return [_vertex(mu, scale, r) for r, _ in sorted(rays)]
 
 
 # -- face assembly ------------------------------------------------------------
@@ -204,10 +210,7 @@ def _complex(mu: DirectedDistance, which: str, keep: Callable[[int, int], bool])
         raise DomainError("GroundSetTooLarge", f"n={mu.n} exceeds enumeration cap {ENUM_CAP}")
     n = mu.n
     scale, rays = _vertex_rays(mu)
-    kept = [(r, b) for r, b in rays if keep(n, b)]
-    # vertex order is the order of r[:-1] / r[-1], over one common multiple
-    big = lcm(*[r[-1] for r, _ in kept])
-    kept.sort(key=lambda rb: [x * (big // rb[0][-1]) for x in rb[0][:-1]])
+    kept = sorted([(r, b) for r, b in rays if keep(n, b)])
     vertices = tuple([_vertex(mu, scale, r) for r, _ in kept])
     bindings = [b for _, b in kept]
 

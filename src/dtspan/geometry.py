@@ -37,7 +37,9 @@ Main tools:
   one-sided minimal representatives, all landing in T when expected;
 - the two nonexpansive retractions (P onto T, T onto Q+) as closed-form
   coordinate updates: each step's length is read off the coordinates and
-  the coupling slacks directly, and each result is certified in T or Q+;
+  the coupling slacks directly, and each result is certified in T or Q+.
+  Of the subset directions onto Q+, only the zero-slack sets move, so that
+  sweep takes at most n steps a side;
 - balance of point sets, balanced sections of Q over the tropical quotient,
   and the interval-based extension of a balanced set to further fibers;
 - geodesic_polyline: exact geodesics through pointwise retraction.
@@ -48,9 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, certify
 from .metrics import DirectedDistance, Element, GroundSet, as_fraction, lcm_scaled, scaled_entries
@@ -160,17 +161,6 @@ class EqualityGraph:
         column by their smallest column, then the isolated rows by index."""
         sides = [_sides(self.n, c) for c in _component_masks(self.n, self._mask())]
         return [(frozenset(cols), frozenset(rows)) for cols, rows in sides]
-
-    def free_components(
-        self, zero_cols: Iterable[int], zero_rows: Iterable[int]
-    ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        """Components touching no zero coordinate, as sorted (column tuple,
-        row tuple) pairs in sorted order.  On a face of T these span the
-        face, one direction (+1 on the columns, -1 on the rows) each."""
-        n, zc, zr = self.n, set(zero_cols), set(zero_rows)
-        zero = sum(1 << i for i in range(n) if i in zc)
-        zero |= sum(1 << (n + i) for i in range(n) if i in zr)
-        return free_components(n, self._mask() | zero)
 
 
 # -- integer forms -------------------------------------------------------------
@@ -502,38 +492,34 @@ def _into_tight_span(m: Sequence[Sequence[int]], col: Sequence[int], row: Sequen
     return col, row
 
 
-def _proper_subsets(n: int) -> Iterator[Tuple[int, ...]]:
-    """Nonempty proper subsets of range(n), by cardinality then lexicographic,
-    so that no subset precedes one of its supersets; yielded one at a time,
-    since a sweep often stops long before the last."""
-    for k in range(1, n):
-        yield from combinations(range(n), k)
-
-
 def _subset_sweep(up: List[int], down: List[int], slack: List[int]) -> None:
-    """Move along +1 on a subset of the up coordinates and -1 on every down
-    coordinate, for each subset in turn, as far as P allows.
+    """Move along +1 on a proper subset of the up coordinates and -1 on every
+    down coordinate, for each subset in turn, as far as P allows.
 
     slack[u] is the least slack of the couplings of up coordinate u.  A step
     on A stops when a down coordinate reaches zero or a coupling of an up
     coordinate outside A becomes tight; those slacks and the least down
-    coordinate fall by the step, the others stay.
+    coordinate fall by the step, the others stay.  So a step moves exactly
+    when A holds Z, the up coordinates of zero slack, and after it either
+    the least down coordinate is zero or Z has grown past A.  Of the
+    nonempty proper subsets in (size, lex) order, the ones that move are
+    therefore Z ({0} while Z is empty) and then each grown Z in turn, until
+    the least down coordinate is zero or Z holds every up coordinate: at
+    most n steps.
     """
-    low = min(down)
-    for a in _proper_subsets(len(up)):
-        if low == 0:
-            break
-        step = min([low] + [slack[u] for u in range(len(up)) if u not in a])
-        if step == 0:
-            continue
+    n, low = len(up), min(down)
+    a = {u for u in range(n) if not slack[u]} or {0}
+    while low and len(a) < n:
+        step = min([low] + [slack[u] for u in range(n) if u not in a])
         low -= step
-        for u in range(len(up)):
+        for u in range(n):
             if u in a:
                 up[u] += step
             else:
                 slack[u] -= step
         for v in range(len(down)):
             down[v] -= step
+        a = {u for u in range(n) if not slack[u]}
 
 
 def retract_to_qplus(mu: DirectedDistance, p: ExtPoint) -> ExtPoint:
@@ -541,8 +527,9 @@ def retract_to_qplus(mu: DirectedDistance, p: ExtPoint) -> ExtPoint:
 
     Sweeps the column directions (+1 on a subset of columns, -1 on all rows)
     over all nonempty proper subsets in inclusion-compatible order, then the
-    symmetric row directions, each step as far as P allows.  Fixes Q+
-    pointwise.
+    symmetric row directions, each step as far as P allows.  Only the
+    zero-slack sets move (``_subset_sweep``), so each sweep steps on those
+    alone, at most n times.  Fixes Q+ pointwise.
     """
     _check_ground(mu, p)
     if not in_tight_span(mu, p):

@@ -28,6 +28,10 @@ face's fields off its mask.
 ``sweep_retract_to_tight_span`` and ``sweep_retract_to_qplus`` move one
 ``retract_ray`` step at a time (the library's former ray step); comparing
 them with the closed-form retractions checks every step length.
+``subset_order_sweep`` is the library's former Q+ sweep: it visits every
+nonempty proper subset in (size, lex) order and skips the zero steps,
+where the library steps on the zero-slack sets alone;
+``fraction_retract_to_qplus`` runs it on Fractions.
 ``binding_mask`` recomputes a vertex's binding set from Fraction sums,
 where the library reads it off double description's zero set;
 ``set_membership`` and ``set_tight_edges`` are the library's former
@@ -737,7 +741,12 @@ def fraction_retract_to_tight_span(mu: DirectedDistance, p: ExtPoint) -> ExtPoin
     return out
 
 
-def _fraction_subset_sweep(up: List[Fraction], down: List[Fraction], slack: List[Fraction]) -> None:
+def subset_order_sweep(up: List, down: List, slack: List) -> None:
+    """The Q+ sweep over every nonempty proper subset of the up coordinates
+    in ``_proper_subsets`` order, on ints or Fractions: each step moves +1 on
+    the subset and -1 on every down coordinate, as long as the least down
+    coordinate and the least slack outside the subset allow, and a zero
+    step is skipped."""
     low = min(down)
     for a in _proper_subsets(len(up)):
         if low == 0:
@@ -762,8 +771,8 @@ def fraction_retract_to_qplus(mu: DirectedDistance, p: ExtPoint) -> ExtPoint:
         raise DomainError("NotInTightSpan", "retraction onto Q+ starts from the tight span")
     n, e = mu.n, mu.entries
     col, row = list(p.col), list(p.row)
-    _fraction_subset_sweep(col, row, [min(col[s] + row[t] - e[s][t] for t in range(n)) for s in range(n)])
-    _fraction_subset_sweep(row, col, [min(col[s] + row[t] - e[s][t] for s in range(n)) for t in range(n)])
+    subset_order_sweep(col, row, [min(col[s] + row[t] - e[s][t] for t in range(n)) for s in range(n)])
+    subset_order_sweep(row, col, [min(col[s] + row[t] - e[s][t] for s in range(n)) for t in range(n)])
     out = ExtPoint(p.ground, tuple(col), tuple(row))
     certify(fraction_membership(mu, out)[0] is Membership.QPLUS, "retraction left Q+")
     return out

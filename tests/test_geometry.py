@@ -6,7 +6,6 @@ exercised with exact rational arithmetic throughout."""
 import random
 import subprocess
 import sys
-from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from pathlib import Path
@@ -45,7 +44,6 @@ from dtspan import (
 )
 from dtspan.metrics import scaled_entries
 from oracles import (
-    _proper_subsets,
     fraction_canonical_points,
     fraction_dinf,
     fraction_geodesic_polyline,
@@ -62,6 +60,7 @@ from oracles import (
     random_qplus_point,
     random_t_point,
     retract_ray,
+    subset_order_sweep,
     sweep_retract_to_qplus,
     sweep_retract_to_tight_span,
 )
@@ -657,10 +656,89 @@ def test_identity_retraction_fails_certificate_under_optimize():
     assert out.stdout.split() == ["1", "InternalCertificate", "InternalCertificate"]
 
 
-def test_proper_subsets_are_yielded_lazily_in_order():
-    for n in range(1, 7):
-        subsets = geometry._proper_subsets(n)
-        assert isinstance(subsets, Iterator)
-        assert list(subsets) == _proper_subsets(n)
-    # the first subset comes at once, before any of the 2^40 - 2 others
-    assert next(geometry._proper_subsets(40)) == (0,)
+class _CountedDown(list):
+    """A down vector that fails once it has been stepped more than steps
+    times: each step of a sweep lowers every down coordinate once."""
+
+    def __init__(self, values, steps):
+        super().__init__(values)
+        self.writes_left = steps * len(values)
+
+    def __setitem__(self, i, value):
+        self.writes_left -= 1
+        assert self.writes_left >= 0, "the sweep took more steps than it has up coordinates"
+        super().__setitem__(i, value)
+
+
+def _sweep_case(rng, n, m, kind):
+    """(up, down, slack) of n up and m down ints, with Z, the zero-slack
+    set, empty, full, or drawn, and ties on the tie-heavy kinds."""
+    top = 2 if kind == "ties" else 9
+    up = [rng.randint(0, top) for _ in range(n)]
+    down = [rng.randint(1, top if kind == "ties" else 3 * top) for _ in range(m)]
+    if rng.random() < 0.15:
+        down[rng.randrange(m)] = 0
+    if kind == "empty":
+        slack = [rng.randint(1, top) for _ in range(n)]
+    elif kind == "full":
+        slack = [0] * n
+    else:
+        slack = [0 if rng.random() < 0.3 else rng.randint(1, top) for _ in range(n)]
+    return up, down, slack
+
+
+def test_subset_sweep_matches_subset_order():
+    # the sweep over the zero-slack sets leaves every list as the sweep over
+    # all 2^n - 2 subsets does, in at most n steps
+    rng = random.Random(2727)
+    moved = emptied = three_steps = 0
+    for k in range(1200):
+        n, m = rng.randint(1, 10), rng.randint(1, 10)
+        up, down, slack = _sweep_case(rng, n, m, ("empty", "full", "drawn", "ties")[k % 4])
+        want = [list(up), list(down), list(slack)]
+        subset_order_sweep(*want)
+        got = [list(up), _CountedDown(down, n), list(slack)]
+        geometry._subset_sweep(*got)
+        assert [list(x) for x in got] == want
+        moved += want[0] != up
+        emptied += min(down) > 0 and min(want[1]) == 0
+        three_steps += got[1].writes_left <= (n - 3) * m
+    assert moved > 500 and emptied > 400 and three_steps > 100
+
+
+def test_retract_to_qplus_matches_fraction_sweep_at_n7_to_10():
+    rng = random.Random(2710)
+    moved = 0
+    for n in range(7, 11):
+        for k in range(4):
+            mu = random_distance(rng, n, top=2 if k % 2 else 6, zeros=0.3, den=1 if k % 2 else 3)
+            for _ in range(4):
+                t = random_t_point(rng, mu)
+                q = retract_to_qplus(mu, t)
+                _same_point(q, fraction_retract_to_qplus(mu, t))
+                moved += q != t
+    assert moved > 20
+
+
+def test_retract_to_qplus_at_n30():
+    # points of T land in Q+ (the retraction certifies it, and the Fraction
+    # membership test agrees), points of Q+ stay fixed, cycles do not grow.
+    # Low columns under high rows leave zero columns uncovered, so some
+    # points move
+    rng = random.Random(3031)
+    moved = 0
+    for top, den, zeros in ((6, 3, 0), (2, 1, 0), (3, 2, 0.2)):
+        mu = random_distance(rng, 30, top=top, zeros=zeros, den=den)
+        high = [m + 1 for m in map(max, zip(*mu.entries))]
+        cyc = []
+        for _ in range(6):
+            col = [Fraction(rng.randint(0, 2), rng.randint(1, 2)) for _ in range(30)]
+            cyc.append(retract_to_tight_span(mu, point(mu, col, high)))
+        img = [retract_to_qplus(mu, p) for p in cyc]
+        for p, q in zip(cyc, img):
+            moved += q != p
+            assert fraction_membership(mu, q)[0] is Membership.QPLUS
+            assert retract_to_qplus(mu, q) == q
+        before = sum(dinf(cyc[i - 1], cyc[i]) for i in range(len(cyc)))
+        assert sum(dinf(img[i - 1], img[i]) for i in range(len(img))) <= before
+    assert moved >= 8
